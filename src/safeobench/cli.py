@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, harness, report
 from .gp import FactorizationError
 from .problems import Scenario
-from .safeop import InfeasibleScenarioError, sample_safe_seeds
+from .safeop import InfeasibleScenarioError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,20 +79,10 @@ def cmd_inspect(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    problem = harness.build_problem(cfg)
-    p = cfg["problem"]
-    seeds = sample_safe_seeds(
-        problem,
-        int(p["n_seeds"]),
-        harness.derive_rng(int(p["master_seed"]), args.run_index, "seed-set"),
-    )
-    config = harness.RunConfig(
-        algorithm=args.algo,
-        run_index=args.run_index,
-        master_seed=int(p["master_seed"]),
-        seeds_consume_budget=bool(p["seeds_consume_budget"]),
-    )
-    result = harness.run(problem, config, seeds, cfg)
+    if args.run_index < 0:
+        raise harness.ConfigError("--run-index must be >= 0")
+    plan = harness.make_plan(cfg, [args.algo], args.run_index + 1)
+    result = harness.run(plan, args.algo, args.run_index)
     series = harness.unsafe_count_series(result)
     print(
         f"{args.algo} run {args.run_index}: {result.n_steps} evaluations, "
@@ -124,7 +114,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_report(args) -> int:
     manifest, results = harness.load_benchmark(args.results_dir)
-    budget = int(manifest["config"]["problem"]["eval_budget"])
+    budget = harness.max_run_length(manifest["config"])
     by_algo: dict[str, list] = {}
     for (algo, _), result in sorted(results.items()):
         if result.records:

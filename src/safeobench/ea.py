@@ -29,7 +29,6 @@ __all__ = [
     "gaussian_mutation",
     "va_filter",
     "mu_plus_lambda_select",
-    "averaged_fitness",
 ]
 
 
@@ -107,11 +106,6 @@ class EvalHistory:
         cand = np.asarray(candidate, dtype=float)
         dist = np.sqrt(np.sum(np.square(pts - cand), axis=1))
         return self._order[int(np.argmin(dist))]
-
-
-def averaged_fitness(history: EvalHistory, point) -> float:
-    """Mean of all noisy observations recorded at exactly this point."""
-    return history.mean_at(point)
 
 
 def binary_tournament(pop: Sequence[Individual], rng: np.random.Generator) -> Individual:

@@ -25,7 +25,6 @@ __all__ = [
     "kernel_matrix",
     "gp_fit",
     "gp_posterior",
-    "confidence_bounds",
 ]
 
 # Diagonal jitter escalation ladder tried when the exact Cholesky fails.
@@ -198,20 +197,6 @@ class ConfidenceBounds:
     lower: np.ndarray
     upper: np.ndarray
     beta: float
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
-
-def confidence_bounds(model: GpModel, queries, beta: float) -> ConfidenceBounds:
-    """Beta-scaled confidence bounds of the posterior at the query points."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    mean, std = gp_posterior(model, queries)
-    return ConfidenceBounds(
-        lower=mean - beta * std, upper=mean + beta * std, beta=beta
-    )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
 """Benchmark orchestration: shared seed sets, run loops, persistence.
 
 A benchmark executes every (algorithm, run index) pair on one problem,
-re-using the same per-run seed set across algorithms. All randomness is
+re-using the same per-run seed set across algorithms. ``run(plan,
+algorithm, run_index)`` is the one code path that sets up and executes a
+run: ``benchmark`` maps it over the plan (serially or in worker
+processes) and the CLI's ``run`` subcommand calls it on a one-algorithm
+plan. ``normalize_config`` is the one place that checks config values;
+everything downstream reads them as given. All randomness is
 derived from a single master seed through named streams, so identical
 plans reproduce byte-identical output regardless of execution order or
 parallelism. Each run is persisted as one CSV of per-step records plus
@@ -11,8 +16,10 @@ an entry in a benchmark-level JSON manifest.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
+import math
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -25,12 +32,11 @@ import numpy as np
 from . import __version__
 from .ea import EaOptimizer, EaParams
 from .gp import KernelSpec
-from .problems import Scenario, make_objective
+from .problems import Scenario, make_objective, validate_scenario
 from .safeop import (
-    InfeasibleScenarioError,
     Oracle,
     SafeOpProblem,
-    TerminationReason,
+    discretize,
     make_problem,
     sample_safe_seeds,
 )
@@ -40,11 +46,11 @@ from .safegp import SafeGpOptimizer, StalledAlgorithmError
 __all__ = [
     "ALGORITHMS",
     "ConfigError",
-    "RunConfig",
     "RunResult",
     "BenchmarkPlan",
     "load_config",
     "build_problem",
+    "max_run_length",
     "make_seed_sets",
     "run",
     "benchmark",
@@ -55,7 +61,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = GP_VARIANTS + ("va-ea", "unsafe-ea")
+EA_VARIANTS = ("va-ea", "unsafe-ea")
+ALGORITHMS = GP_VARIANTS + EA_VARIANTS
 
 TERMINATION_STALLED = "stalled"
 TERMINATION_FAILED = "failed"
@@ -69,30 +76,94 @@ class ConfigError(ValueError):
 # Configuration
 
 
-DEFAULT_PROBLEM = {
-    "objective": "sphere",
-    "dimension": 2,
-    "bounds": None,
-    "nodes_per_axis": 100,
-    "percentile": 95.0,
-    "noise_std": 0.1,
-    "seed_confidence": 1.96,
-    "eval_budget": 100,
-    "safety_budget": "unlimited",
-    "scenario": "none",
-    "n_seeds": 10,
-    "master_seed": 20220709,
-    "seeds_consume_budget": True,
-}
+def _integer(lo: int, alternative: str = ""):
+    def rule(v):
+        if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+            raise ValueError(f"must be an integer >= {lo}{alternative}")
+        return v
 
-DEFAULT_GP = {"lengthscale": 1.0, "signal_variance": 4.0, "beta": 2.0}
+    return rule
 
-DEFAULT_EA = {
-    "crossover_prob": 0.8,
-    "mutation_prob": None,
-    "mutation_std": 0.1,
-    "mutation_mean": 0.0,
-    "retry_cap": 100,
+
+def _real(within=lambda x: True, where: str = ""):
+    def rule(v):
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            x = float(v)
+            if math.isfinite(x) and within(x):
+                return x
+        raise ValueError(f"must be a finite number{where}")
+
+    return rule
+
+
+_FINITE = _real()
+_NON_NEGATIVE = _real(lambda x: x >= 0, " >= 0")
+_POSITIVE = _real(lambda x: x > 0, " > 0")
+_PROBABILITY = _real(lambda x: 0 <= x <= 1, " in [0, 1]")
+
+
+def _flag(v):
+    if not isinstance(v, bool):
+        raise ValueError("must be true or false")
+    return v
+
+
+def _text(v):  # objective and scenario names are checked in normalize_config
+    if not isinstance(v, str):
+        raise ValueError("must be a string")
+    return v
+
+
+def _bounds(v):
+    if v is None:
+        return None
+    if not isinstance(v, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in v
+    ):
+        raise ValueError("must be null or a list of [lo, hi] pairs")
+    return [[_FINITE(lo), _FINITE(hi)] for lo, hi in v]
+
+
+def _either(special, rule):
+    return lambda v: v if v == special else rule(v)
+
+
+# One table per section: key -> (default, rule). A rule returns the value
+# in its final type or raises ValueError saying what it accepts.
+CONFIG_SCHEMA = {
+    "problem": {
+        "objective": ("sphere", _text),
+        "dimension": (2, _integer(1)),
+        "bounds": (None, _bounds),
+        "nodes_per_axis": (100, _integer(2)),
+        "percentile": (95.0, _real(lambda x: 0 < x <= 100, " in (0, 100]")),
+        "noise_std": (0.1, _NON_NEGATIVE),
+        "seed_confidence": (1.96, _NON_NEGATIVE),
+        "eval_budget": (100, _integer(1)),
+        "safety_budget": (
+            "unlimited",
+            _either("unlimited", _integer(0, ' or "unlimited"')),
+        ),
+        "scenario": ("none", _text),
+        "n_seeds": (10, _integer(1)),
+        "master_seed": (20220709, _integer(0)),
+        "seeds_consume_budget": (True, _flag),
+    },
+    "gp": {
+        "lengthscale": (1.0, _POSITIVE),
+        "signal_variance": (4.0, _POSITIVE),
+        "beta": (2.0, _NON_NEGATIVE),
+    },
+    "ea": {
+        "crossover_prob": (0.8, _PROBABILITY),
+        "mutation_prob": (
+            None,
+            _either(None, _real(lambda x: 0 <= x <= 1, " in [0, 1] or null")),
+        ),
+        "mutation_std": (0.1, _NON_NEGATIVE),
+        "mutation_mean": (0.0, _FINITE),
+        "retry_cap": (100, _integer(0)),
+    },
 }
 
 
@@ -110,66 +181,82 @@ def load_config(path) -> dict:
     return normalize_config(raw)
 
 
+def _normalize_section(name: str, schema: dict, given) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError(f"section {name!r} must be an object")
+    unknown = set(given) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    out = {}
+    for key, (default, rule) in schema.items():
+        value = given.get(key, default)
+        try:
+            out[key] = rule(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"{name}.{key} {exc}, got {value!r}") from None
+    return out
+
+
 def normalize_config(raw: dict) -> dict:
+    """Check a raw config against ``CONFIG_SCHEMA`` and apply its defaults.
+
+    The only place config values are checked: every value comes back in
+    its final type (ints as ``int``, floats as finite ``float``, flags as
+    ``bool``), and the objective, its bounds and the scenario are checked
+    against each other. Idempotent. Raises :class:`ConfigError`.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    out = {}
-    for section, defaults in (
-        ("problem", DEFAULT_PROBLEM),
-        ("gp", DEFAULT_GP),
-        ("ea", DEFAULT_EA),
-    ):
-        given = raw.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        unknown = set(given) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-        out[section] = {**defaults, **given}
-    unknown = set(raw) - {"problem", "gp", "ea"}
+    unknown = set(raw) - set(CONFIG_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    sb = out["problem"]["safety_budget"]
-    if not (sb == "unlimited" or (isinstance(sb, int) and not isinstance(sb, bool))):
-        raise ConfigError('safety_budget must be an integer or "unlimited"')
+    out = {
+        name: _normalize_section(name, schema, raw.get(name, {}))
+        for name, schema in CONFIG_SCHEMA.items()
+    }
+    p = out["problem"]
+    try:
+        objective = make_objective(
+            p["objective"], dimension=p["dimension"], bounds=p["bounds"]
+        )
+        validate_scenario(Scenario(p["scenario"]), objective)
+        # A constant grid has a zero Lipschitz estimate, which safeopt and
+        # safe-ucb cannot certify with, and a threshold equal to every value.
+        values = discretize(objective, p["nodes_per_axis"]).values
+        if values.min() == values.max():
+            raise ValueError(
+                f"{objective.name} is constant on a grid of "
+                f"{p['nodes_per_axis']} nodes per axis"
+            )
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
     return out
 
 
 def build_problem(cfg: dict) -> SafeOpProblem:
-    """Construct the SafeOpProblem described by a config's problem section."""
+    """Construct the SafeOpProblem described by a normalized config."""
     p = cfg["problem"]
-    try:
-        objective = make_objective(
-            p["objective"], dimension=int(p["dimension"]), bounds=p["bounds"]
-        )
-        sb = p["safety_budget"]
-        return make_problem(
-            objective,
-            nodes_per_axis=p["nodes_per_axis"],
-            percentile=float(p["percentile"]),
-            noise_std=float(p["noise_std"]),
-            eval_budget=int(p["eval_budget"]),
-            safety_budget=None if sb == "unlimited" else int(sb),
-            seed_confidence=float(p["seed_confidence"]),
-            scenario=Scenario(p["scenario"]),
-        )
-    except InfeasibleScenarioError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _ea_params(cfg: dict, n_seeds: int) -> EaParams:
-    e = cfg["ea"]
-    return EaParams(
-        mu=n_seeds,
-        lam=n_seeds,
-        crossover_prob=float(e["crossover_prob"]),
-        mutation_prob=None if e["mutation_prob"] is None else float(e["mutation_prob"]),
-        mutation_mean=float(e["mutation_mean"]),
-        mutation_std=float(e["mutation_std"]),
-        retry_cap=int(e["retry_cap"]),
+    sb = p["safety_budget"]
+    return make_problem(
+        make_objective(p["objective"], dimension=p["dimension"], bounds=p["bounds"]),
+        nodes_per_axis=p["nodes_per_axis"],
+        percentile=p["percentile"],
+        noise_std=p["noise_std"],
+        eval_budget=p["eval_budget"],
+        safety_budget=None if sb == "unlimited" else sb,
+        seed_confidence=p["seed_confidence"],
+        scenario=Scenario(p["scenario"]),
     )
+
+
+def max_run_length(cfg: dict) -> int:
+    """Most records one run of a normalized config can hold.
+
+    The evaluation budget, plus the seed evaluations when seeds do not
+    consume it (the oracle then extends its budget by the seed count).
+    """
+    p = cfg["problem"]
+    return p["eval_budget"] + (0 if p["seeds_consume_budget"] else p["n_seeds"])
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +291,6 @@ def make_seed_sets(
 
 # ---------------------------------------------------------------------------
 # Running
-
-
-@dataclass
-class RunConfig:
-    algorithm: str
-    run_index: int
-    master_seed: int
-    seeds_consume_budget: bool = True
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
 
 
 @dataclass
@@ -259,6 +332,34 @@ def unsafe_count_series(result: RunResult) -> np.ndarray:
     return np.cumsum([int(r.is_unsafe) for r in result.records])
 
 
+@dataclass
+class BenchmarkPlan:
+    algorithms: list[str]
+    config: dict  # normalized experiment config
+    n_runs: int
+    problem: SafeOpProblem  # built once from config, shared by every run
+    seed_sets: list[list[tuple[float, ...]]]
+
+
+def make_plan(cfg: dict, algorithms: Sequence[str], n_runs: int) -> BenchmarkPlan:
+    """Build the problem and the shared seed sets of a benchmark from its config."""
+    algorithms = list(algorithms)
+    for name in algorithms:
+        if name not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {name!r}")
+    if n_runs < 1:
+        raise ConfigError("n_runs must be >= 1")
+    problem = build_problem(cfg)
+    p = cfg["problem"]
+    return BenchmarkPlan(
+        algorithms=algorithms,
+        config=cfg,
+        n_runs=n_runs,
+        problem=problem,
+        seed_sets=make_seed_sets(problem, n_runs, p["n_seeds"], p["master_seed"]),
+    )
+
+
 def _build_optimizer(
     name: str,
     problem: SafeOpProblem,
@@ -266,52 +367,49 @@ def _build_optimizer(
     rng: np.random.Generator,
     cfg: dict,
 ):
-    if name in GP_VARIANTS:
-        g = cfg["gp"]
-        return SafeGpOptimizer(
-            variant=name,
+    if name in EA_VARIANTS:
+        return EaOptimizer(
             problem=problem,
             seed_observations=seed_obs,
-            kernel=KernelSpec(
-                lengthscale=float(g["lengthscale"]),
-                signal_variance=float(g["signal_variance"]),
-            ),
-            beta=float(g["beta"]),
-            lipschitz=problem.lipschitz if name in ("safeopt", "safe-ucb") else None,
+            rng=rng,
+            params=EaParams(mu=len(seed_obs), lam=len(seed_obs), **cfg["ea"]),
+            va_enabled=(name == "va-ea"),
         )
-    return EaOptimizer(
+    g = cfg["gp"]
+    return SafeGpOptimizer(
+        variant=name,
         problem=problem,
         seed_observations=seed_obs,
-        rng=rng,
-        params=_ea_params(cfg, len(seed_obs)),
-        va_enabled=(name == "va-ea"),
+        kernel=KernelSpec(
+            lengthscale=g["lengthscale"], signal_variance=g["signal_variance"]
+        ),
+        beta=g["beta"],
     )
 
 
-def run(
-    problem: SafeOpProblem,
-    config: RunConfig,
-    seeds: Sequence[tuple[float, ...]],
-    cfg: Optional[dict] = None,
-) -> RunResult:
-    """Execute one algorithm run to termination and extract its metrics."""
-    cfg = cfg if cfg is not None else normalize_config({})
+def run(plan: BenchmarkPlan, algorithm: str, run_index: int) -> RunResult:
+    """Execute one algorithm run of a plan to termination and extract its metrics.
+
+    The run uses the plan's problem, its seed set at ``run_index`` and
+    the oracle and optimizer streams derived from the plan's master seed.
+    """
     t0 = time.perf_counter()
+    p = plan.config["problem"]
     oracle = Oracle(
-        problem,
-        derive_rng(config.master_seed, config.run_index, "oracle"),
-        seeds_consume_budget=config.seeds_consume_budget,
+        plan.problem,
+        derive_rng(p["master_seed"], run_index, "oracle"),
+        seeds_consume_budget=p["seeds_consume_budget"],
     )
-    seed_obs = oracle.prime(seeds)
+    seed_obs = oracle.prime(plan.seed_sets[run_index])
     termination = oracle.termination.value
     diagnostics: list[dict] = []
     if oracle.running:
         optimizer = _build_optimizer(
-            config.algorithm,
-            problem,
+            algorithm,
+            plan.problem,
             seed_obs,
-            derive_rng(config.master_seed, config.run_index, "optimizer"),
-            cfg,
+            derive_rng(p["master_seed"], run_index, "optimizer"),
+            plan.config,
         )
         try:
             while oracle.running:
@@ -335,8 +433,8 @@ def run(
             )
         )
     return RunResult(
-        algorithm=config.algorithm,
-        run_index=config.run_index,
+        algorithm=algorithm,
+        run_index=run_index,
         records=records,
         termination=termination,
         diagnostics=diagnostics,
@@ -344,62 +442,19 @@ def run(
     )
 
 
-# ---------------------------------------------------------------------------
-# Benchmarks
-
-
-@dataclass
-class BenchmarkPlan:
-    algorithms: list[str]
-    config: dict  # normalized experiment config
-    n_runs: int
-    seed_sets: list[list[tuple[float, ...]]]
-
-    @property
-    def master_seed(self) -> int:
-        return int(self.config["problem"]["master_seed"])
-
-
-def make_plan(cfg: dict, algorithms: Sequence[str], n_runs: int) -> BenchmarkPlan:
-    """Build the shared seed sets for a benchmark from its config."""
-    algorithms = list(algorithms)
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r}")
-    if n_runs < 1:
-        raise ConfigError("n_runs must be >= 1")
-    problem = build_problem(cfg)
-    p = cfg["problem"]
-    seed_sets = make_seed_sets(
-        problem, n_runs, int(p["n_seeds"]), int(p["master_seed"])
-    )
-    return BenchmarkPlan(
-        algorithms=algorithms, config=cfg, n_runs=n_runs, seed_sets=seed_sets
-    )
-
-
-def _run_task(args) -> tuple[str, int, RunResult]:
-    cfg, algorithm, run_index, seeds = args
-    problem = build_problem(cfg)
-    p = cfg["problem"]
-    config = RunConfig(
-        algorithm=algorithm,
-        run_index=run_index,
-        master_seed=int(p["master_seed"]),
-        seeds_consume_budget=bool(p["seeds_consume_budget"]),
-    )
+def _run_task(plan: BenchmarkPlan, key: tuple[str, int]) -> RunResult:
+    algorithm, run_index = key
     try:
-        result = run(problem, config, seeds, cfg)
+        return run(plan, algorithm, run_index)
     except Exception as exc:  # noqa: BLE001 - failures are recorded per run
         log.warning("run %s/%d failed: %s", algorithm, run_index, exc)
-        result = RunResult(
+        return RunResult(
             algorithm=algorithm,
             run_index=run_index,
             records=[],
             termination=TERMINATION_FAILED,
             error=f"{type(exc).__name__}: {exc}",
         )
-    return algorithm, run_index, result
 
 
 def benchmark(
@@ -410,38 +465,12 @@ def benchmark(
     Individual run failures are recorded in their RunResult; the rest of
     the benchmark still completes. Output is independent of n_jobs.
     """
-    tasks = [
-        (plan.config, algo, i, plan.seed_sets[i])
-        for algo in plan.algorithms
-        for i in range(plan.n_runs)
-    ]
-    results: dict[tuple[str, int], RunResult] = {}
+    keys = [(algo, i) for algo in plan.algorithms for i in range(plan.n_runs)]
+    task = functools.partial(_run_task, plan)
     if n_jobs <= 1:
-        problem = build_problem(plan.config)
-        p = plan.config["problem"]
-        for _, algo, i, seeds in tasks:
-            config = RunConfig(
-                algorithm=algo,
-                run_index=i,
-                master_seed=int(p["master_seed"]),
-                seeds_consume_budget=bool(p["seeds_consume_budget"]),
-            )
-            try:
-                results[(algo, i)] = run(problem, config, seeds, plan.config)
-            except Exception as exc:  # noqa: BLE001
-                log.warning("run %s/%d failed: %s", algo, i, exc)
-                results[(algo, i)] = RunResult(
-                    algorithm=algo,
-                    run_index=i,
-                    records=[],
-                    termination=TERMINATION_FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for algo, i, result in pool.map(_run_task, tasks):
-                results[(algo, i)] = result
-    return results
+        return dict(zip(keys, map(task, keys)))
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return dict(zip(keys, pool.map(task, keys)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "objective_names",
     "sphere_eval",
     "styblinski_tang_eval",
-    "scenario_contains",
     "scenario_mask",
     "validate_scenario",
 ]
@@ -236,12 +235,6 @@ def scenario_mask(scenario: Scenario, points: np.ndarray) -> np.ndarray:
     if scenario is Scenario.S3:
         return ((x1 < 0) & (x2 > 0)) | ((x1 > 0) & (x2 < 0))
     raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def scenario_contains(scenario: Scenario, x: Sequence[float]) -> bool:
-    """True when a single point lies in the scenario's sampling region."""
-    arr = np.asarray(x, dtype=float).reshape(1, -1)
-    return bool(scenario_mask(scenario, arr)[0])
 
 
 def validate_scenario(scenario: Scenario, objective: Objective) -> None:

@@ -211,6 +211,8 @@ def _svg_header(title: str) -> list[str]:
 
 def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel) -> list[str]:
     parts = []
+    if xhi <= xlo:  # one-step runs: the unit span px() in emit_bsf_svg uses
+        xhi = xlo + 1
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT
     parts.append(

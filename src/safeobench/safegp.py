@@ -338,8 +338,9 @@ class SafeGpOptimizer:
     kernel : KernelSpec, optional
     beta : float
         Confidence-interval width multiplier.
-    lipschitz : float, optional
-        Required (> 0) by the Lipschitz variants, ignored by the rest.
+
+    The Lipschitz variants certify with ``problem.lipschitz``, which must
+    be positive.
     """
 
     def __init__(
@@ -349,7 +350,6 @@ class SafeGpOptimizer:
         seed_observations: Sequence[Observation],
         kernel: Optional[KernelSpec] = None,
         beta: float = 2.0,
-        lipschitz: Optional[float] = None,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected {VARIANTS}")
@@ -358,9 +358,9 @@ class SafeGpOptimizer:
         self.variant = variant
         self.uses_lipschitz = variant in _LIPSCHITZ_VARIANTS
         if self.uses_lipschitz:
-            if lipschitz is None or lipschitz <= 0:
+            self.lipschitz = problem.lipschitz
+            if not self.lipschitz > 0:
                 raise ValueError(f"{variant} requires a positive lipschitz constant")
-            self.lipschitz = float(lipschitz)
         else:
             self.lipschitz = 0.0
         self.problem = problem

@@ -9,7 +9,6 @@ from safeobench.ea import (
     EaParams,
     EvalHistory,
     Individual,
-    averaged_fitness,
     binary_tournament,
     gaussian_mutation,
     mu_plus_lambda_select,
@@ -172,17 +171,17 @@ class TestAveragedFitness:
     def test_single_observation(self):
         h = EvalHistory()
         h.record(obs((1.0,), 4.2))
-        assert averaged_fitness(h, (1.0,)) == 4.2
+        assert h.mean_at((1.0,)) == 4.2
 
     def test_mean_of_three(self):
         h = EvalHistory()
         for v in (1.0, 2.0, 3.0):
             h.record(obs((1.0,), v))
-        assert averaged_fitness(h, (1.0,)) == 2.0
+        assert h.mean_at((1.0,)) == 2.0
 
     def test_unknown_point(self):
         with pytest.raises(KeyError):
-            averaged_fitness(EvalHistory(), (0.0,))
+            EvalHistory().mean_at((0.0,))
 
 
 class TestSurvivalSelection:

@@ -6,12 +6,12 @@ from safeobench.gp import (
     FactorizationError,
     KernelSpec,
     TargetTransform,
-    confidence_bounds,
     gp_fit,
     gp_posterior,
     kernel_matrix,
     posterior_detail,
 )
+from safeobench.harness import ConfigError, normalize_config
 
 
 def dense_oracle(kernel, noise_var, X, y, Q, prior_mean=0.0):
@@ -158,33 +158,16 @@ class TestPosterior:
 
 
 class TestConfidenceBounds:
-    def test_zero_beta_collapses(self):
-        rng = np.random.default_rng(1)
-        kernel, noise, X, y, Q = random_instance(rng, 4)
-        model = gp_fit(kernel, noise, X, y)
-        b = confidence_bounds(model, Q, 0.0)
-        np.testing.assert_array_equal(b.lower, b.upper)
-
     def test_prior_only_unit_signal(self):
+        # bounds mean +- beta*std are +-beta under a unit-variance prior
         model = gp_fit(KernelSpec(signal_variance=1.0), 0.1, [], [])
-        b = confidence_bounds(model, [[0.0, 0.0], [2.0, 2.0]], 2.0)
-        np.testing.assert_allclose(b.lower, -2.0)
-        np.testing.assert_allclose(b.upper, 2.0)
-
-    def test_width_identity(self):
-        rng = np.random.default_rng(8)
-        kernel, noise, X, y, Q = random_instance(rng, 5, n_query=30)
-        model = gp_fit(kernel, noise, X, y)
-        beta = 2.0
-        b = confidence_bounds(model, Q, beta)
-        _, std = gp_posterior(model, Q)
-        np.testing.assert_allclose(b.width, 2 * beta * std, atol=1e-12)
-        assert np.all(b.lower <= b.upper)
+        mean, std = gp_posterior(model, [[0.0, 0.0], [2.0, 2.0]])
+        np.testing.assert_allclose(mean, 0.0)
+        np.testing.assert_allclose(std, 1.0)
 
     def test_negative_beta_rejected(self):
-        model = gp_fit(KernelSpec(), 0.1, [], [])
-        with pytest.raises(ValueError):
-            confidence_bounds(model, [[0.0, 0.0]], -1.0)
+        with pytest.raises(ConfigError, match="gp.beta"):
+            normalize_config({"gp": {"beta": -1.0}})
 
 
 class TestTargetTransform:

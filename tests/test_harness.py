@@ -8,7 +8,6 @@ import pytest
 from safeobench import cli, harness
 from safeobench.harness import (
     ConfigError,
-    RunConfig,
     RunResult,
     StepRecord,
     benchmark,
@@ -43,6 +42,11 @@ def fast_cfg():
 @pytest.fixture(scope="module")
 def fast_problem(fast_cfg):
     return build_problem(fast_cfg)
+
+
+@pytest.fixture(scope="module")
+def fast_plan(fast_cfg):
+    return make_plan(fast_cfg, list(harness.ALGORITHMS), 1)
 
 
 def record(step, unsafe=False, f=0.0):
@@ -86,7 +90,7 @@ class TestConfig:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
-            RunConfig(algorithm="cmaes", run_index=0, master_seed=1)
+            make_plan(normalize_config(FAST_CFG), ["cmaes"], 1)
 
 
 class TestRngDerivation:
@@ -119,25 +123,21 @@ class TestSeedSets:
 
 
 class TestRun:
-    def test_exact_record_count(self, fast_problem, fast_cfg):
-        seeds = make_seed_sets(fast_problem, 1, 4, 99)[0]
-        result = run(
-            fast_problem, RunConfig("unsafe-ea", 0, 99), seeds, fast_cfg
-        )
+    def test_exact_record_count(self, fast_plan):
+        result = run(fast_plan, "unsafe-ea", 0)
         assert result.n_steps == 20
         assert [r.step for r in result.records] == list(range(1, 21))
         assert result.termination == "budget_exhausted"
 
-    def test_bsf_is_running_max_of_true_values(self, fast_problem, fast_cfg):
-        seeds = make_seed_sets(fast_problem, 1, 4, 99)[0]
-        result = run(fast_problem, RunConfig("va-ea", 0, 99), seeds, fast_cfg)
+    def test_bsf_is_running_max_of_true_values(self, fast_plan):
+        result = run(fast_plan, "va-ea", 0)
         best = -np.inf
         for r in result.records:
             best = max(best, r.f_true)
             assert r.bsf_true == best
         assert np.all(np.diff(result.bsf_series()) >= 0)
 
-    def test_zero_safety_budget_stops_at_first_failure(self, fast_cfg):
+    def test_zero_safety_budget_stops_at_first_failure(self):
         cfg = normalize_config(
             {
                 "problem": {
@@ -151,25 +151,20 @@ class TestRun:
                 "ea": {"mutation_std": 2.5, "mutation_prob": 1.0},
             }
         )
-        problem = build_problem(cfg)
-        seeds = make_seed_sets(problem, 1, 4, 99)[0]
-        result = run(problem, RunConfig("unsafe-ea", 0, 99), seeds, cfg)
+        result = run(make_plan(cfg, ["unsafe-ea"], 1), "unsafe-ea", 0)
         assert result.termination == "safety_exhausted"
         assert result.records[-1].is_unsafe
         assert sum(r.is_unsafe for r in result.records) == 1
         assert result.first_failure_step() == result.records[-1].step
 
-    def test_stalled_algorithm_recorded_not_raised(
-        self, fast_problem, fast_cfg, monkeypatch
-    ):
+    def test_stalled_algorithm_recorded_not_raised(self, fast_plan, monkeypatch):
         from safeobench import safegp
 
         def stall(self, oracle):
             raise safegp.StalledAlgorithmError("empty safe set")
 
         monkeypatch.setattr(safegp.SafeGpOptimizer, "step", stall)
-        seeds = make_seed_sets(fast_problem, 1, 4, 99)[0]
-        result = run(fast_problem, RunConfig("safeopt", 0, 99), seeds, fast_cfg)
+        result = run(fast_plan, "safeopt", 0)
         assert result.termination == "stalled"
         assert result.n_steps == 4  # the seed observations remain
 
@@ -209,10 +204,10 @@ class TestBenchmark:
         plan = make_plan(fast_cfg, ["va-ea"], 2)
         real_run = harness.run
 
-        def flaky(problem, config, seeds, cfg=None):
-            if config.run_index == 1:
+        def flaky(plan, algorithm, run_index):
+            if run_index == 1:
                 raise RuntimeError("boom")
-            return real_run(problem, config, seeds, cfg)
+            return real_run(plan, algorithm, run_index)
 
         monkeypatch.setattr(harness, "run", flaky)
         results = benchmark(plan)
@@ -222,9 +217,8 @@ class TestBenchmark:
 
 
 class TestPersistence:
-    def test_csv_round_trip(self, fast_problem, fast_cfg, tmp_path):
-        seeds = make_seed_sets(fast_problem, 1, 4, 99)[0]
-        result = run(fast_problem, RunConfig("safe-ucb", 0, 99), seeds, fast_cfg)
+    def test_csv_round_trip(self, fast_plan, tmp_path):
+        result = run(fast_plan, "safe-ucb", 0)
         path = tmp_path / "r.csv"
         write_run_csv(result, path)
         loaded = load_run_csv(path, "safe-ucb", 0)
@@ -232,9 +226,8 @@ class TestPersistence:
         for a, b in zip(loaded.records, result.records):
             assert a == b
 
-    def test_csv_header(self, fast_problem, fast_cfg, tmp_path):
-        seeds = make_seed_sets(fast_problem, 1, 4, 99)[0]
-        result = run(fast_problem, RunConfig("va-ea", 0, 99), seeds, fast_cfg)
+    def test_csv_header(self, fast_plan, tmp_path):
+        result = run(fast_plan, "va-ea", 0)
         path = tmp_path / "r.csv"
         write_run_csv(result, path)
         header = path.read_text().splitlines()[0]
@@ -336,6 +329,27 @@ class TestCli:
             )
             assert rc == 0
             assert (tmp_path / name).exists()
+
+    def test_report_pads_runs_whose_seeds_are_free(self, tmp_path, capsys):
+        # with seeds outside the budget a run holds eval_budget + n_seeds records
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"problem": {"nodes_per_axis": 30, "seeds_consume_budget": False}})
+        )
+        outdir = str(tmp_path / "bench")
+        args = ["benchmark", str(path), "--algos", "va-ea", "--runs", "2", "--out", outdir]
+        assert cli.main(args) == 0
+        for metric, fmt, name in (
+            ("bsf", "csv", "bsf.csv"),
+            ("bsf", "svg", "bsf.svg"),
+            ("unsafe", "csv", "unsafe.csv"),
+            ("unsafe", "svg", "unsafe.svg"),
+            ("trajectory", "csv", "traj.csv"),
+        ):
+            args = ["report", outdir, "--metric", metric, "--format", fmt]
+            assert cli.main([*args, "--out", str(tmp_path / name)]) == 0
+        rows = (tmp_path / "bsf.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["va-ea", str(s)] for s in range(1, 111)]
 
     def test_set_overrides(self, tmp_path, capsys):
         rc = cli.main(

@@ -7,7 +7,6 @@ from safeobench.problems import (
     Scenario,
     make_objective,
     objective_names,
-    scenario_contains,
     scenario_mask,
     sphere_eval,
     styblinski_tang_eval,
@@ -161,14 +160,13 @@ class TestRegistry:
 
 class TestScenarios:
     def test_s1_membership(self):
-        assert scenario_contains(Scenario.S1, (1.0, 1.0))
-        assert not scenario_contains(Scenario.S1, (-1.0, 1.0))
-        assert not scenario_contains(Scenario.S1, (0.0, 1.0))  # strict
+        pts = [(1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)]  # the last is on the edge
+        assert scenario_mask(Scenario.S1, pts).tolist() == [True, False, False]
 
     def test_s2_quadrants(self):
-        assert scenario_contains(Scenario.S2_TOP_LEFT, (-3.0, 3.0))
-        assert not scenario_contains(Scenario.S2_TOP_LEFT, (3.0, 3.0))
-        assert scenario_contains(Scenario.S2_BOTTOM_RIGHT, (3.0, -3.0))
+        pts = [(-3.0, 3.0), (3.0, 3.0), (3.0, -3.0)]
+        assert scenario_mask(Scenario.S2_TOP_LEFT, pts).tolist() == [True, False, False]
+        assert scenario_mask(Scenario.S2_BOTTOM_RIGHT, pts).tolist() == [False, False, True]
 
     def test_s3_is_union_of_s2(self):
         rng = np.random.default_rng(3)
@@ -179,7 +177,7 @@ class TestScenarios:
         assert np.array_equal(scenario_mask(Scenario.S3, pts), union)
 
     def test_none_accepts_everything(self):
-        assert scenario_contains(Scenario.NONE, (4.9, -4.9))
+        assert scenario_mask(Scenario.NONE, [(4.9, -4.9)]).tolist() == [True]
 
     def test_validation(self):
         styb = make_objective("styblinski-tang")

@@ -389,12 +389,7 @@ class TestOptimizerIntegration:
     def test_run_and_invariants(self, variant):
         problem = small_sphere_problem()
         oracle, seed_obs = primed(problem)
-        opt = SafeGpOptimizer(
-            variant,
-            problem,
-            seed_obs,
-            lipschitz=problem.lipschitz if variant in ("safeopt", "safe-ucb") else None,
-        )
+        opt = SafeGpOptimizer(variant, problem, seed_obs)
         seed_idx = [problem.grid.index_of(o.point) for o in seed_obs]
         first = True
         prev_mask = opt.safe_mask.copy()
@@ -420,14 +415,7 @@ class TestOptimizerIntegration:
         seqs = []
         for _ in range(2):
             oracle, seed_obs = primed(problem)
-            opt = SafeGpOptimizer(
-                variant,
-                problem,
-                seed_obs,
-                lipschitz=problem.lipschitz
-                if variant in ("safeopt", "safe-ucb")
-                else None,
-            )
+            opt = SafeGpOptimizer(variant, problem, seed_obs)
             while oracle.running:
                 opt.step(oracle)
             seqs.append([o.point for o in oracle.log])
@@ -436,11 +424,20 @@ class TestOptimizerIntegration:
 
 class TestOptimizerConstruction:
     def test_lipschitz_required(self):
-        problem = small_sphere_problem()
-        _, seed_obs = primed(problem)
-        with pytest.raises(ValueError, match="lipschitz"):
-            SafeGpOptimizer("safeopt", problem, seed_obs, lipschitz=None)
-        SafeGpOptimizer("msafeopt", problem, seed_obs)  # fine without
+        # a 2x2 grid on the symmetric sphere domain is flat: estimate L = 0
+        flat = make_problem(
+            make_objective("sphere"),
+            nodes_per_axis=2,
+            percentile=100.0,
+            noise_std=0.0,
+            eval_budget=5,
+        )
+        assert flat.lipschitz == 0.0
+        _, seed_obs = primed(flat, n_seeds=2)
+        for variant in ("safeopt", "safe-ucb"):
+            with pytest.raises(ValueError, match="lipschitz"):
+                SafeGpOptimizer(variant, flat, seed_obs)
+        SafeGpOptimizer("msafeopt", flat, seed_obs)  # fine without
 
     def test_unknown_variant(self):
         problem = small_sphere_problem()
@@ -451,9 +448,7 @@ class TestOptimizerConstruction:
     def test_noiseless_sphere_run_never_unsafe(self):
         problem = small_sphere_problem(noise=0.0)
         oracle, seed_obs = primed(problem)
-        opt = SafeGpOptimizer(
-            "safeopt", problem, seed_obs, lipschitz=problem.lipschitz
-        )
+        opt = SafeGpOptimizer("safeopt", problem, seed_obs)
         while oracle.running:
             opt.step(oracle)
         assert oracle.unsafe_used == 0
@@ -474,7 +469,7 @@ class TestOptimizerConstruction:
             )
             for i in idx
         ]
-        opt = SafeGpOptimizer("safeopt", problem, obs, lipschitz=problem.lipschitz)
+        opt = SafeGpOptimizer("safeopt", problem, obs)
         oracle = Oracle(problem, np.random.default_rng(0))
         with pytest.raises(StalledAlgorithmError):
             opt.step(oracle)
