@@ -33,15 +33,9 @@ from . import __version__
 from .ea import EaOptimizer, EaParams
 from .gp import KernelSpec
 from .problems import Scenario, make_objective, validate_scenario
-from .safeop import (
-    Oracle,
-    SafeOpProblem,
-    discretize,
-    make_problem,
-    sample_safe_seeds,
-)
+from .safeop import Oracle, SafeOpProblem, make_problem, sample_safe_seeds
+from .safegp import LIPSCHITZ_VARIANTS, SafeGpOptimizer, StalledAlgorithmError
 from .safegp import VARIANTS as GP_VARIANTS
-from .safegp import SafeGpOptimizer, StalledAlgorithmError
 
 __all__ = [
     "ALGORITHMS",
@@ -98,7 +92,6 @@ def _real(within=lambda x: True, where: str = ""):
 
 _FINITE = _real()
 _NON_NEGATIVE = _real(lambda x: x >= 0, " >= 0")
-_POSITIVE = _real(lambda x: x > 0, " > 0")
 _PROBABILITY = _real(lambda x: 0 <= x <= 1, " in [0, 1]")
 
 
@@ -114,6 +107,11 @@ def _text(v):  # objective and scenario names are checked in normalize_config
     return v
 
 
+# Keeps the objective values and squared distances on the box far from
+# float overflow (Styblinski-Tang overflows beyond about 1e77).
+_BOUND = _real(lambda x: abs(x) <= 1e6, " in [-1e6, 1e6]")
+
+
 def _bounds(v):
     if v is None:
         return None
@@ -121,7 +119,7 @@ def _bounds(v):
         isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in v
     ):
         raise ValueError("must be null or a list of [lo, hi] pairs")
-    return [[_FINITE(lo), _FINITE(hi)] for lo, hi in v]
+    return [[_BOUND(lo), _BOUND(hi)] for lo, hi in v]
 
 
 def _either(special, rule):
@@ -149,9 +147,13 @@ CONFIG_SCHEMA = {
         "master_seed": (20220709, _integer(0)),
         "seeds_consume_budget": (True, _flag),
     },
+    # kernel_matrix scales squared distances by 0.5 / lengthscale**2,
+    # which must stay finite and nonzero; gp_fit's largest jitter, 1e-6,
+    # must stay above the rounding error of a Gram matrix whose diagonal
+    # is signal_variance.
     "gp": {
-        "lengthscale": (1.0, _POSITIVE),
-        "signal_variance": (4.0, _POSITIVE),
+        "lengthscale": (1.0, _real(lambda x: 1e-150 <= x <= 1e150, " in [1e-150, 1e150]")),
+        "signal_variance": (4.0, _real(lambda x: 0 < x <= 1e6, " in (0, 1e6]")),
         "beta": (2.0, _NON_NEGATIVE),
     },
     "ea": {
@@ -220,14 +222,6 @@ def normalize_config(raw: dict) -> dict:
             p["objective"], dimension=p["dimension"], bounds=p["bounds"]
         )
         validate_scenario(Scenario(p["scenario"]), objective)
-        # A constant grid has a zero Lipschitz estimate, which safeopt and
-        # safe-ucb cannot certify with, and a threshold equal to every value.
-        values = discretize(objective, p["nodes_per_axis"]).values
-        if values.min() == values.max():
-            raise ValueError(
-                f"{objective.name} is constant on a grid of "
-                f"{p['nodes_per_axis']} nodes per axis"
-            )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return out
@@ -350,6 +344,14 @@ def make_plan(cfg: dict, algorithms: Sequence[str], n_runs: int) -> BenchmarkPla
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
     problem = build_problem(cfg)
+    certified = [name for name in algorithms if name in LIPSCHITZ_VARIANTS]
+    if certified and not 0 < problem.lipschitz < math.inf:
+        # e.g. an objective that is constant on the grid, or grid nodes that
+        # coincide in floating point
+        raise ConfigError(
+            f"{', '.join(certified)} need a finite positive Lipschitz "
+            f"estimate, got {problem.lipschitz} on this grid"
+        )
     p = cfg["problem"]
     return BenchmarkPlan(
         algorithms=algorithms,

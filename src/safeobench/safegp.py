@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 VARIANTS = ("safeopt", "safe-ucb", "msafeopt", "msafe-ucb")
-_LIPSCHITZ_VARIANTS = ("safeopt", "safe-ucb")
+LIPSCHITZ_VARIANTS = ("safeopt", "safe-ucb")
 _WIDTH_VARIANTS = ("safeopt", "msafeopt")  # the others select by UCB
 
 # Posterior variance below this is treated as an already-known point when
@@ -356,7 +356,7 @@ class SafeGpOptimizer:
         if not seed_observations:
             raise ValueError("need at least one seed observation")
         self.variant = variant
-        self.uses_lipschitz = variant in _LIPSCHITZ_VARIANTS
+        self.uses_lipschitz = variant in LIPSCHITZ_VARIANTS
         if self.uses_lipschitz:
             self.lipschitz = problem.lipschitz
             if not self.lipschitz > 0:

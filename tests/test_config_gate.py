@@ -56,6 +56,22 @@ def test_cli_rejects_bad_value(tmp_path, capsys, command, override):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_lipschitz_variants_need_a_positive_estimate(tmp_path, capsys):
+    # sphere on a 2-node grid: every node has the same value, so L = 0
+    cfg = normalize_config({"problem": {"nodes_per_axis": 2, "noise_std": 0.0, "n_seeds": 2}})
+    with pytest.raises(ConfigError, match="safeopt, safe-ucb need a finite positive"):
+        make_plan(cfg, ALGORITHMS, 1)
+    plan = make_plan(cfg, ["msafeopt", "msafe-ucb", "va-ea", "unsafe-ea"], 1)
+    assert all(r.termination != TERMINATION_FAILED for r in benchmark(plan).values())
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["run", str(path), "--algo", "safe-ucb", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # Property: every accepted config runs end to end
 
@@ -65,7 +81,7 @@ WRONG_TYPE = [None, True, "x", [1], float("nan"), math.inf]
 OUT_OF_RANGE = {
     ("problem", "objective"): ["rosenbrock"],
     ("problem", "dimension"): [0, -1, 2.0],
-    ("problem", "bounds"): [[[0, 1]] * 4, [[1, 0], [0, 1]], "[-5, 5]"],
+    ("problem", "bounds"): [[[0, 1]] * 4, [[1, 0], [0, 1]], [[-2e6, 0]] * 3, "[-5, 5]"],
     ("problem", "nodes_per_axis"): [1, 0, 4.5, "10"],
     ("problem", "percentile"): [0, -5, 100.5],
     ("problem", "noise_std"): [-0.1],
@@ -76,8 +92,8 @@ OUT_OF_RANGE = {
     ("problem", "n_seeds"): [0, 2.0],
     ("problem", "master_seed"): [-1, 1e3],
     ("problem", "seeds_consume_budget"): ["no", 1, 0],
-    ("gp", "lengthscale"): [0, -1],
-    ("gp", "signal_variance"): [0, -4],
+    ("gp", "lengthscale"): [0, -1, 1e-200, 1e200],
+    ("gp", "signal_variance"): [0, -4, 1e300],
     ("gp", "beta"): [-1],
     ("ea", "crossover_prob"): [2, -0.5],
     ("ea", "mutation_prob"): [1.5, -0.1],
@@ -86,9 +102,15 @@ OUT_OF_RANGE = {
     ("ea", "retry_cap"): [-1, 2.5],
 }
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(0, allow_infinity=False)
+PROBABILITY = st.floats(0, 1)
+
 
 def _valid_sections(dimension):
-    pair = st.lists(st.floats(-10, 10), min_size=2, max_size=2)
+    """Each key's whole accepted range, except the sizes that set the
+    cost of a run: grid, budget, seed count and retry cap."""
+    pair = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2)
     return {
         "problem": {
             "objective": st.sampled_from(["sphere", "styblinski-tang"]),
@@ -96,25 +118,25 @@ def _valid_sections(dimension):
             "bounds": st.none() | st.lists(pair, min_size=dimension, max_size=dimension),
             "nodes_per_axis": st.integers(2, 12),
             "percentile": st.floats(0, 100, exclude_min=True),
-            "noise_std": st.floats(0, 1),
-            "seed_confidence": st.floats(0, 3),
+            "noise_std": NON_NEGATIVE,
+            "seed_confidence": NON_NEGATIVE,
             "eval_budget": st.integers(1, 15),
-            "safety_budget": st.just("unlimited") | st.integers(0, 5),
+            "safety_budget": st.just("unlimited") | st.integers(0),
             "scenario": st.sampled_from([s.value for s in Scenario]),
             "n_seeds": st.integers(1, 4),
-            "master_seed": st.integers(0, 2**32),
+            "master_seed": st.integers(0),
             "seeds_consume_budget": st.booleans(),
         },
         "gp": {
-            "lengthscale": st.floats(0.05, 5),
-            "signal_variance": st.floats(0.1, 10),
-            "beta": st.floats(0, 5),
+            "lengthscale": st.floats(1e-150, 1e150),
+            "signal_variance": st.floats(0, 1e6, exclude_min=True),
+            "beta": NON_NEGATIVE,
         },
         "ea": {
-            "crossover_prob": st.floats(0, 1),
-            "mutation_prob": st.none() | st.floats(0, 1),
-            "mutation_std": st.floats(0, 3),
-            "mutation_mean": st.floats(-1, 1),
+            "crossover_prob": PROBABILITY,
+            "mutation_prob": st.none() | PROBABILITY,
+            "mutation_std": NON_NEGATIVE,
+            "mutation_mean": FINITE,
             "retry_cap": st.integers(0, 20),
         },
     }
@@ -142,11 +164,23 @@ def raw_configs(draw):
     return raw
 
 
-@settings(derandomize=True, deadline=None, max_examples=800)
+# a feasible sphere problem for the examples below
+EDGE = {"nodes_per_axis": 10, "eval_budget": 12, "percentile": 50.0}
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
 @given(raw=raw_configs())
 # a grid the objective is constant on (Lipschitz estimate 0), and one-step runs
 @example(raw={"problem": {"nodes_per_axis": 2, "noise_std": 0.0, "n_seeds": 2}})
 @example(raw={"problem": {"nodes_per_axis": 6, "eval_budget": 1, "percentile": 50.0}})
+# GP hyperparameters and bounds at the edges of their ranges, and beyond
+@example(raw={"problem": EDGE, "gp": {"lengthscale": 1e-150, "signal_variance": 1e6}})
+@example(raw={"problem": EDGE, "gp": {"lengthscale": 1e150, "signal_variance": 1e6}})
+@example(raw={"problem": EDGE, "gp": {"lengthscale": 1e-200}})
+@example(raw={"problem": EDGE, "gp": {"lengthscale": 1e200}})
+@example(raw={"problem": EDGE, "gp": {"signal_variance": 1e300}})
+@example(raw={"problem": {**EDGE, "objective": "styblinski-tang", "bounds": [[-1e6, 1e6]] * 2}})
+@example(raw={"problem": {**EDGE, "objective": "styblinski-tang", "bounds": [[-1e300, 1e300]] * 2}})
 def test_accepted_configs_run_end_to_end(raw):
     try:
         cfg = normalize_config(raw)
@@ -158,6 +192,9 @@ def test_accepted_configs_run_end_to_end(raw):
         plan = make_plan(cfg, ALGORITHMS, 1)
     except InfeasibleScenarioError:
         event("infeasible scenario")
+        return
+    except ConfigError:  # no finite positive Lipschitz estimate on the grid
+        event("rejected by make_plan")
         return
     event("ran end to end")
     results = benchmark(plan)
