@@ -1,10 +1,13 @@
 """Exact Gaussian-process regression with fixed hyperparameters.
 
 A deliberately small GP: isotropic squared-exponential kernel, constant
-prior mean, known noise variance, full Cholesky refit on every update.
-Training sizes here never exceed the evaluation budget (~100 points), so
-O(n^3) refits are negligible and no approximations are needed. Posterior
-queries over large grids are chunked to bound memory.
+prior mean, known noise variance. Hyperparameters never change, so a
+model that grows by one training point extends the previous Cholesky
+factor by one row (O(n^2)) instead of refactoring; a full factorization
+with the jitter ladder runs only on the first fit and when the extension
+breaks down. Training sizes never exceed the evaluation budget (~100
+points), so no approximations are needed. Posterior queries over large
+grids are chunked to bound memory.
 """
 
 from __future__ import annotations
@@ -57,8 +60,11 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     sq = cdist(a, b, "sqeuclidean")
     # In-place transform of the distance buffer: these matrices reach
-    # n_train x grid size, so avoid extra temporaries.
-    sq *= -0.5 / spec.lengthscale**2
+    # n_train x grid size, so avoid extra temporaries. A short lengthscale
+    # can scale a squared distance past the float range; -inf then gives the
+    # kernel value 0, which is the true value rounded.
+    with np.errstate(over="ignore"):
+        sq *= -0.5 / spec.lengthscale**2
     np.exp(sq, out=sq)
     sq *= spec.signal_variance
     return sq
@@ -70,7 +76,9 @@ class GpModel:
 
     ``chol`` is the lower Cholesky factor of K + noise_variance*I (with
     any jitter that was needed), ``alpha`` solves that matrix against the
-    centered targets. Empty training sets are allowed; the posterior is
+    centered targets. ``extended`` is true when ``chol`` came from
+    appending one row to the previous model's factor rather than from a
+    full factorization. Empty training sets are allowed; the posterior is
     then the prior everywhere.
     """
 
@@ -82,10 +90,44 @@ class GpModel:
     chol: Optional[np.ndarray] = None
     alpha: Optional[np.ndarray] = None
     jitter: float = 0.0
+    extended: bool = False
 
     @property
     def n_train(self) -> int:
         return self.train_points.shape[0]
+
+
+def _extended_chol(prev, kernel, noise_variance, points, targets, prior_mean):
+    """``prev``'s Cholesky factor grown by the row of the last training point.
+
+    Applies when ``prev`` is a jitter-free fit of the same kernel, noise
+    and prior mean on all but the last row. With l = L^-1 k(X, x) and
+    d^2 = k(x, x) + noise - l.l, the grown factor is [[L, 0], [l^T, d]].
+    Returns None when ``prev`` does not apply or d^2 <= 0, where the grown
+    matrix is not numerically positive definite.
+    """
+    n = targets.size - 1
+    if not (
+        prev is not None
+        and prev.n_train == n > 0
+        and prev.jitter == 0.0
+        and prev.kernel == kernel
+        and prev.noise_variance == noise_variance
+        and prev.prior_mean == prior_mean
+        and np.array_equal(prev.train_points, points[:-1])
+        and np.array_equal(prev.train_targets, targets[:-1])
+    ):
+        return None
+    kx = kernel_matrix(kernel, prev.train_points, points[-1:])[:, 0]
+    l = solve_triangular(prev.chol, kx, lower=True, check_finite=False)
+    d2 = kernel.signal_variance + noise_variance - l @ l
+    if not d2 > 0.0:
+        return None
+    chol = np.zeros((n + 1, n + 1))
+    chol[:n, :n] = prev.chol
+    chol[n, :n] = l
+    chol[n, n] = np.sqrt(d2)
+    return chol
 
 
 def gp_fit(
@@ -94,11 +136,16 @@ def gp_fit(
     points,
     targets,
     prior_mean: float = 0.0,
+    prev: Optional[GpModel] = None,
 ) -> GpModel:
     """Fit an exact GP: build the Gram matrix and factorize it.
 
-    Escalates diagonal jitter from 1e-10 to 1e-6 if the exact Cholesky
-    fails, then raises :class:`FactorizationError`.
+    When ``prev`` is a jitter-free fit of the same kernel, noise and prior
+    mean on all but the last training point, its factor is extended by
+    one row (O(n^2)) and the model is marked ``extended``. Otherwise, and
+    when the extension breaks down, the full Gram matrix is factorized,
+    escalating diagonal jitter from 1e-10 to 1e-6 if the exact Cholesky
+    fails, and then :class:`FactorizationError` is raised.
     """
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
@@ -116,19 +163,21 @@ def gp_fit(
     if n == 0:
         return GpModel(kernel, noise_variance, points, targets, prior_mean)
 
-    gram = kernel_matrix(kernel, points, points)
-    gram = 0.5 * (gram + gram.T)  # enforce exact symmetry
-    chol = None
+    chol = _extended_chol(prev, kernel, noise_variance, points, targets, prior_mean)
+    extended = chol is not None
     used = 0.0
-    for jit in _JITTERS:
-        try:
-            chol = np.linalg.cholesky(
-                gram + (noise_variance + jit) * np.eye(n)
-            )
-            used = jit
-            break
-        except np.linalg.LinAlgError:
-            continue
+    if not extended:
+        gram = kernel_matrix(kernel, points, points)
+        gram = 0.5 * (gram + gram.T)  # enforce exact symmetry
+        for jit in _JITTERS:
+            try:
+                chol = np.linalg.cholesky(
+                    gram + (noise_variance + jit) * np.eye(n)
+                )
+                used = jit
+                break
+            except np.linalg.LinAlgError:
+                continue
     if chol is None:
         raise FactorizationError(
             f"Cholesky factorization failed for n={n} even with jitter "
@@ -144,12 +193,12 @@ def gp_fit(
         chol=chol,
         alpha=alpha,
         jitter=used,
+        extended=extended,
     )
 
 
-def _posterior_chunk(model: GpModel, queries: np.ndarray, kq=None):
-    if kq is None:
-        kq = kernel_matrix(model.kernel, model.train_points, queries)
+def _posterior_chunk(model: GpModel, queries: np.ndarray):
+    kq = kernel_matrix(model.kernel, model.train_points, queries)
     mean = model.prior_mean + model.alpha @ kq
     v = solve_triangular(model.chol, kq, lower=True, check_finite=False)
     var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
@@ -176,18 +225,17 @@ def gp_posterior(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(means), np.concatenate(stds)
 
 
-def posterior_detail(model: GpModel, queries, kq=None):
+def posterior_detail(model: GpModel, queries):
     """Posterior mean/std plus the whitened cross-kernel V = L^-1 k(X, Q).
 
     V lets callers form posterior cross-covariances between query subsets
     without re-solving: cov(a, b | data) = k(a, b) - V_a^T V_b. Only valid
-    for fitted models with at least one training point. ``kq`` may pass a
-    precomputed kernel cross-matrix k(train, queries).
+    for fitted models with at least one training point.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if model.n_train == 0:
         raise ValueError("posterior_detail needs a non-empty training set")
-    return _posterior_chunk(model, queries, kq=kq)
+    return _posterior_chunk(model, queries)
 
 
 @dataclass

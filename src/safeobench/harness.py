@@ -135,7 +135,9 @@ CONFIG_SCHEMA = {
         "bounds": (None, _bounds),
         "nodes_per_axis": (100, _integer(2)),
         "percentile": (95.0, _real(lambda x: 0 < x <= 100, " in (0, 100]")),
-        "noise_std": (0.1, _NON_NEGATIVE),
+        # Observations, their standardization and the squared noise in
+        # standardized units must stay finite.
+        "noise_std": (0.1, _real(lambda x: 0 <= x <= 1e6, " in [0, 1e6]")),
         "seed_confidence": (1.96, _NON_NEGATIVE),
         "eval_budget": (100, _integer(1)),
         "safety_budget": (
@@ -150,11 +152,14 @@ CONFIG_SCHEMA = {
     # kernel_matrix scales squared distances by 0.5 / lengthscale**2,
     # which must stay finite and nonzero; gp_fit's largest jitter, 1e-6,
     # must stay above the rounding error of a Gram matrix whose diagonal
-    # is signal_variance.
+    # is signal_variance, and a noiseless Gram matrix of a subnormal
+    # signal_variance gives infinite weights. The expander test scales
+    # covariances (at most signal_variance) by beta / std over stds down
+    # to 1e-6, which must stay finite.
     "gp": {
         "lengthscale": (1.0, _real(lambda x: 1e-150 <= x <= 1e150, " in [1e-150, 1e150]")),
-        "signal_variance": (4.0, _real(lambda x: 0 < x <= 1e6, " in (0, 1e6]")),
-        "beta": (2.0, _NON_NEGATIVE),
+        "signal_variance": (4.0, _real(lambda x: 1e-150 <= x <= 1e6, " in [1e-150, 1e6]")),
+        "beta": (2.0, _real(lambda x: 0 <= x <= 1e6, " in [0, 1e6]")),
     },
     "ea": {
         "crossover_prob": (0.8, _PROBABILITY),

@@ -1,8 +1,15 @@
 """GP-based safe optimizers over a discretized domain.
 
-Four step-wise state machines share one skeleton: refit the GP on all
-observations, recompute confidence bounds, grow the safe set, pick the
-next point, evaluate it through the oracle.
+Four step-wise state machines share one skeleton: update the GP with
+the newest observation, recompute confidence bounds, grow the safe set,
+pick the next point, evaluate it through the oracle.
+
+The GP update is incremental: each step appends one row to the previous
+Cholesky factor (see ``gp.gp_fit``), and the Lipschitz-free variants
+append the matching row to the whitened grid cross-kernel V and update
+the grid posterior mean and variance in O(n * grid) instead of
+re-solving the whole grid. A full factorization, and a full grid solve,
+happen only on the first step and when the extension breaks down.
 
 * ``safeopt`` / ``safe-ucb`` certify safety with a Lipschitz bound
   around previously-safe points: x is safe iff some safe x_s satisfies
@@ -27,6 +34,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -214,7 +222,7 @@ def _expanders_modified(
     std: np.ndarray,
     beta: float,
     threshold: float,
-    v_grid: Optional[np.ndarray] = None,
+    v_grid: np.ndarray,
 ) -> np.ndarray:
     """Expanders for the Lipschitz-free variants.
 
@@ -223,6 +231,7 @@ def _expanders_modified(
     some outside point to the threshold. The conditioning is done in
     closed form via the posterior covariance; restricting candidates to
     the safe-set boundary keeps the cost linear in the boundary size.
+    ``v_grid`` is the whitened cross-kernel L^-1 k(X, points) of ``model``.
     """
     mask = np.zeros(safe_mask.size, dtype=bool)
     outside = np.flatnonzero(~safe_mask)
@@ -231,10 +240,7 @@ def _expanders_modified(
     cand = boundary_candidates(safe_mask, shape)
     if cand.size == 0:
         return mask
-    if v_grid is not None:
-        v_c = v_grid[:, cand]
-    else:
-        _, _, v_c = posterior_detail(model, points[cand])
+    v_c = v_grid[:, cand]
     var_c = np.square(std[cand])
     usable = var_c > _VAR_FLOOR
     var_c = np.where(usable, var_c, 1.0)
@@ -253,10 +259,7 @@ def _expanders_modified(
             break
         out_idx = outside[start : start + chunk]
         rows = cand[undecided]
-        if v_grid is not None:
-            v_u = v_grid[:, out_idx]
-        else:
-            _, _, v_u = posterior_detail(model, points[out_idx])
+        v_u = v_grid[:, out_idx]
         cross = kernel_matrix(model.kernel, points[rows], points[out_idx])
         cross -= v_c[:, undecided].T @ v_u
         # new_var = var_u - cross^2 / var_c, then lower bound of the
@@ -298,7 +301,7 @@ def compute_expanders(
         state._std,
         state.beta,
         state.threshold_z,
-        v_grid=state._v_grid,
+        state._v_grid,
     )
 
 
@@ -383,11 +386,19 @@ class SafeGpOptimizer:
         self.m_mask = np.zeros(self.grid.n_points, dtype=bool)
         self.g_mask = np.zeros(self.grid.n_points, dtype=bool)
         self._bounds: Optional[ConfidenceBounds] = None
-        self._mean: Optional[np.ndarray] = None
-        self._std: Optional[np.ndarray] = None
-        self._v_grid: Optional[np.ndarray] = None
         self._grid_tree: Optional[cKDTree] = None
-        self._kq_cache: Optional[np.ndarray] = None  # k(train, grid), grows rowwise
+        # Grid posterior of the Lipschitz-free variants, kept across steps:
+        # mean, variance and std over the grid, the whitened centered
+        # targets z = L^-1 y and V = L^-1 k(X, grid). V's rows live in a
+        # buffer sized for the longest possible run (the evaluation budget
+        # plus the seeds), filled top-down; _v_grid views its first n rows.
+        self._mean: Optional[np.ndarray] = None
+        self._var: Optional[np.ndarray] = None
+        self._std: Optional[np.ndarray] = None
+        self._z: Optional[np.ndarray] = None
+        self._v_buffer: Optional[np.ndarray] = None
+        self._v_grid: Optional[np.ndarray] = None
+        self._max_rows = problem.eval_budget + len(seed_observations)
         self.diagnostics: list[dict] = []
 
     def _refit(self) -> GpModel:
@@ -396,6 +407,7 @@ class SafeGpOptimizer:
             self.noise_var_z,
             np.asarray(self._x, dtype=float),
             self.transform.forward(self._y),
+            prev=self.model,
         )
         return self.model
 
@@ -427,29 +439,52 @@ class SafeGpOptimizer:
             )
         self._bounds_at(np.flatnonzero(new_mask), lower, upper)
         self.safe_mask = new_mask
-        self._v_grid = None
 
-    def _grid_kq(self) -> np.ndarray:
-        have = 0 if self._kq_cache is None else self._kq_cache.shape[0]
-        n = len(self._x)
-        if have < n:
-            rows = kernel_matrix(
-                self.kernel, np.asarray(self._x[have:], dtype=float), self.grid.points
-            )
-            if self._kq_cache is None:
-                self._kq_cache = rows
-            else:
-                self._kq_cache = np.vstack([self._kq_cache, rows])
-        return self._kq_cache
+    def _append_grid_row(self) -> None:
+        """Grow the grid posterior by the model's newest training point.
+
+        With the new factor row [l^T, d]: V gains the row
+        (k(x, grid) - l^T V) / d, z gains (y - m0 - l.z) / d, and the
+        mean and variance change by z_n * row and -row^2.
+        """
+        model = self.model
+        n = model.n_train
+        l, d = model.chol[-1, :-1], model.chol[-1, -1]
+        row = kernel_matrix(self.kernel, model.train_points[-1:], self.grid.points)[0]
+        row -= l @ self._v_grid
+        row /= d
+        z_n = (model.train_targets[-1] - model.prior_mean - l @ self._z) / d
+        self._v_buffer[n - 1] = row
+        self._v_grid = self._v_buffer[:n]
+        self._z = np.append(self._z, z_n)
+        self._mean += z_n * row
+        self._var -= np.square(row)
+
+    def _solve_grid(self) -> None:
+        """Grid posterior of the model from scratch, through one full solve."""
+        model = self.model
+        n = model.n_train
+        mean, std, v = posterior_detail(model, self.grid.points)
+        if self._v_buffer is None:
+            # Column-major, so the expander test gathers grid columns of V
+            # from contiguous memory.
+            self._v_buffer = np.empty((self._max_rows, self.grid.n_points), order="F")
+        self._v_buffer[:n] = v
+        self._v_grid = self._v_buffer[:n]
+        self._z = solve_triangular(
+            model.chol, model.train_targets - model.prior_mean, lower=True
+        )
+        self._mean, self._var = mean, np.square(std)
 
     def _update_modified(self) -> None:
-        points = self.grid.points
-        if points.shape[0] <= 65536:
-            mean, std, v = posterior_detail(self.model, points, kq=self._grid_kq())
+        # An extended model grows the previous step's model, which the
+        # grid posterior was computed for, by one row.
+        if self.model.extended:
+            self._append_grid_row()
         else:
-            mean, std = gp_posterior(self.model, points)
-            v = None
-        self._mean, self._std, self._v_grid = mean, std, v
+            self._solve_grid()
+        mean = self._mean
+        std = self._std = np.sqrt(np.clip(self._var, 0.0, None))
         self._bounds = ConfidenceBounds(
             mean - self.beta * std, mean + self.beta * std, self.beta
         )
@@ -482,6 +517,8 @@ class SafeGpOptimizer:
                 "n_expanders": int(self.g_mask.sum()),
                 "chosen_index": idx,
                 "fallback": fallback,
+                "gp_jitter": self.model.jitter,
+                "gp_refactored": not self.model.extended,
             }
         )
         return obs

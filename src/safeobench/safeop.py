@@ -142,14 +142,17 @@ def estimate_lipschitz(grid: Grid) -> float:
 
     Gradients use central finite differences of the cached values in the
     interior and one-sided differences at the boundaries; the returned
-    constant is the maximum Euclidean norm over all nodes.
+    constant is the maximum Euclidean norm over all nodes. Nodes that
+    coincide in floating point give a non-finite estimate, which
+    ``harness.make_plan`` rejects for the variants that use it.
     """
     shape = grid.shape
     values = grid.values.reshape(shape)
-    if len(shape) == 1:
-        grads = [np.gradient(values, grid.axes[0])]
-    else:
-        grads = np.gradient(values, *grid.axes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if len(shape) == 1:
+            grads = [np.gradient(values, grid.axes[0])]
+        else:
+            grads = np.gradient(values, *grid.axes)
     sq = np.zeros(shape)
     for g in grads:
         sq += np.square(g)

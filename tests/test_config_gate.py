@@ -38,6 +38,8 @@ BAD_VALUES = [
     'problem.seeds_consume_budget="no"',
     "problem.eval_budget=1.5",
     "gp.beta=-1",
+    "problem.noise_std=1e300",
+    "gp.beta=1e7",
     "ea.crossover_prob=2",
     "ea.retry_cap=-1",
 ]
@@ -84,7 +86,7 @@ OUT_OF_RANGE = {
     ("problem", "bounds"): [[[0, 1]] * 4, [[1, 0], [0, 1]], [[-2e6, 0]] * 3, "[-5, 5]"],
     ("problem", "nodes_per_axis"): [1, 0, 4.5, "10"],
     ("problem", "percentile"): [0, -5, 100.5],
-    ("problem", "noise_std"): [-0.1],
+    ("problem", "noise_std"): [-0.1, 1.5e6, 7.3e153],
     ("problem", "seed_confidence"): [-1],
     ("problem", "eval_budget"): [0, 1.5],
     ("problem", "safety_budget"): ["none", -1],
@@ -93,8 +95,8 @@ OUT_OF_RANGE = {
     ("problem", "master_seed"): [-1, 1e3],
     ("problem", "seeds_consume_budget"): ["no", 1, 0],
     ("gp", "lengthscale"): [0, -1, 1e-200, 1e200],
-    ("gp", "signal_variance"): [0, -4, 1e300],
-    ("gp", "beta"): [-1],
+    ("gp", "signal_variance"): [0, -4, 1e300, 1e-200, 5e-324],
+    ("gp", "beta"): [-1, 1.5e6, 5.7e307],
     ("ea", "crossover_prob"): [2, -0.5],
     ("ea", "mutation_prob"): [1.5, -0.1],
     ("ea", "mutation_std"): [-1],
@@ -118,7 +120,7 @@ def _valid_sections(dimension):
             "bounds": st.none() | st.lists(pair, min_size=dimension, max_size=dimension),
             "nodes_per_axis": st.integers(2, 12),
             "percentile": st.floats(0, 100, exclude_min=True),
-            "noise_std": NON_NEGATIVE,
+            "noise_std": st.floats(0, 1e6),
             "seed_confidence": NON_NEGATIVE,
             "eval_budget": st.integers(1, 15),
             "safety_budget": st.just("unlimited") | st.integers(0),
@@ -129,8 +131,8 @@ def _valid_sections(dimension):
         },
         "gp": {
             "lengthscale": st.floats(1e-150, 1e150),
-            "signal_variance": st.floats(0, 1e6, exclude_min=True),
-            "beta": NON_NEGATIVE,
+            "signal_variance": st.floats(1e-150, 1e6),
+            "beta": st.floats(0, 1e6),
         },
         "ea": {
             "crossover_prob": PROBABILITY,
@@ -164,21 +166,40 @@ def raw_configs(draw):
     return raw
 
 
-# a feasible sphere problem for the examples below
+# feasible sphere problems for the examples below
 EDGE = {"nodes_per_axis": 10, "eval_budget": 12, "percentile": 50.0}
+LOW_THRESHOLD = {"nodes_per_axis": 6, "eval_budget": 12, "percentile": 1.0}
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(raw=raw_configs())
-# a grid the objective is constant on (Lipschitz estimate 0), and one-step runs
+# a grid the objective is constant on (Lipschitz estimate 0), one whose
+# nodes coincide in floating point (estimate NaN), and one-step runs
 @example(raw={"problem": {"nodes_per_axis": 2, "noise_std": 0.0, "n_seeds": 2}})
+@example(raw={"problem": {"bounds": [[1, 1 + 1e-15]] * 2, "nodes_per_axis": 12, "n_seeds": 1,
+                          "noise_std": 0.0, "seed_confidence": 0.0, "percentile": 100.0}})
 @example(raw={"problem": {"nodes_per_axis": 6, "eval_budget": 1, "percentile": 50.0}})
-# GP hyperparameters and bounds at the edges of their ranges, and beyond
+# GP hyperparameters, noise and bounds at the edges of their ranges, and
+# beyond them. Each of these overflowed once: the shortest lengthscale
+# over a long distance (the scaled squared distance, harmlessly), a
+# subnormal signal_variance (the noiseless GP weights), noise_std near the
+# float maximum (the target standardization) and beta near it (the
+# expander test).
 @example(raw={"problem": EDGE, "gp": {"lengthscale": 1e-150, "signal_variance": 1e6}})
 @example(raw={"problem": EDGE, "gp": {"lengthscale": 1e150, "signal_variance": 1e6}})
+@example(raw={"problem": {"dimension": 1, "bounds": [[0, 18962]], "nodes_per_axis": 2,
+                          "n_seeds": 1, "eval_budget": 1, "seeds_consume_budget": False,
+                          "noise_std": 0.0, "seed_confidence": 0.0, "percentile": 1.0},
+              "gp": {"lengthscale": 1e-150}})
 @example(raw={"problem": EDGE, "gp": {"lengthscale": 1e-200}})
 @example(raw={"problem": EDGE, "gp": {"lengthscale": 1e200}})
 @example(raw={"problem": EDGE, "gp": {"signal_variance": 1e300}})
+@example(raw={"problem": {**EDGE, "noise_std": 0.0, "n_seeds": 2}, "gp": {"signal_variance": 1e-150}})
+@example(raw={"problem": {**EDGE, "noise_std": 0.0, "n_seeds": 2}, "gp": {"signal_variance": 5e-324}})
+@example(raw={"problem": {**EDGE, "noise_std": 1e6}})
+@example(raw={"problem": {**EDGE, "noise_std": 7.3e153}})
+@example(raw={"problem": LOW_THRESHOLD, "gp": {"beta": 1e6, "lengthscale": 1e6}})
+@example(raw={"problem": LOW_THRESHOLD, "gp": {"beta": 5.7e307, "lengthscale": 1e6}})
 @example(raw={"problem": {**EDGE, "objective": "styblinski-tang", "bounds": [[-1e6, 1e6]] * 2}})
 @example(raw={"problem": {**EDGE, "objective": "styblinski-tang", "bounds": [[-1e300, 1e300]] * 2}})
 def test_accepted_configs_run_end_to_end(raw):

@@ -90,6 +90,54 @@ class TestFit:
             KernelSpec(signal_variance=-1.0)
 
 
+class TestIncrementalFit:
+    def test_extension_matches_fresh_fit_and_dense_oracle(self):
+        rng = np.random.default_rng(41)
+        kernel = KernelSpec(lengthscale=1.3, signal_variance=2.5)
+        noise = 0.05
+        X = rng.uniform(-3, 3, size=(31, 2))
+        y = rng.normal(size=31)
+        Q = rng.uniform(-4, 4, size=(25, 2))
+        model = gp_fit(kernel, noise, X[:1], y[:1])
+        assert not model.extended
+        for n in range(2, 32):  # 30 appended points
+            model = gp_fit(kernel, noise, X[:n], y[:n], prev=model)
+            assert model.extended and model.jitter == 0.0
+            fresh = gp_fit(kernel, noise, X[:n], y[:n])
+            assert not fresh.extended
+            np.testing.assert_allclose(model.chol, fresh.chol, atol=1e-10)
+            mean, std = gp_posterior(model, Q)
+            fmean, fstd = gp_posterior(fresh, Q)
+            omean, ostd = dense_oracle(kernel, noise, X[:n], y[:n], Q)
+            for got, want in ((mean, fmean), (std, fstd), (mean, omean), (std, ostd)):
+                np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_duplicate_noiseless_point_falls_back_to_jitter(self):
+        # k(x, x) = 4 and l = 4 / sqrt(4) = 2 exactly, so d^2 = 0
+        prev = gp_fit(KernelSpec(signal_variance=4.0), 0.0, [[1.0, 1.0]], [1.0])
+        model = gp_fit(
+            KernelSpec(signal_variance=4.0), 0.0, [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0],
+            prev=prev,
+        )
+        assert not model.extended
+        assert model.jitter > 0.0
+
+    def test_jittered_prev_is_refactored(self):
+        pts = [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
+        prev = gp_fit(KernelSpec(), 0.0, pts, [1.0, 1.0, 2.0])
+        assert prev.jitter > 0.0
+        model = gp_fit(KernelSpec(), 0.0, pts + [[-3.0, 0.0]], [1.0, 1.0, 2.0, 0.5], prev=prev)
+        assert not model.extended
+
+    def test_prev_with_other_rows_is_refactored(self):
+        kernel = KernelSpec()
+        prev = gp_fit(kernel, 0.1, [[0.0, 0.0]], [1.0])
+        model = gp_fit(kernel, 0.1, [[0.0, 0.0], [1.0, 0.0]], [2.0, 0.0], prev=prev)
+        assert not model.extended
+        fresh = gp_fit(kernel, 0.1, [[0.0, 0.0], [1.0, 0.0]], [2.0, 0.0])
+        np.testing.assert_array_equal(model.alpha, fresh.alpha)
+
+
 class TestPosterior:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2024)

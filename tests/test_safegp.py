@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safeobench.gp import ConfidenceBounds, KernelSpec, gp_fit, gp_posterior
+from safeobench.gp import ConfidenceBounds, KernelSpec, gp_fit, gp_posterior, posterior_detail
 from safeobench.problems import make_objective
 from safeobench.safeop import Observation, Oracle, make_problem, sample_safe_seeds
 from safeobench.safegp import (
@@ -276,7 +276,8 @@ class TestModifiedExpanders:
         pts, model, mean, std, safe = self._setup(seed)
         beta, h = 2.0, float(np.percentile(mean, 60))
         got = _expanders_modified(
-            safe, (pts.shape[0],), pts, model, mean, std, beta, h
+            safe, (pts.shape[0],), pts, model, mean, std, beta, h,
+            posterior_detail(model, pts)[2],
         )
         outside = np.flatnonzero(~safe)
         for c in boundary_candidates(safe, (pts.shape[0],)):
@@ -296,7 +297,7 @@ class TestModifiedExpanders:
         u_c = mean[c] + beta * std[c]
         oracle_lower = conditioned_lower_oracle(model, pts[c], u_c, pts[outside], beta)
 
-        from safeobench.gp import kernel_matrix, posterior_detail
+        from safeobench.gp import kernel_matrix
 
         _, _, v_all = posterior_detail(model, pts)
         cross = (
@@ -314,7 +315,8 @@ class TestModifiedExpanders:
         model = gp_fit(KernelSpec(), 0.1, [[0.0]], [1.0])
         mean, std = gp_posterior(model, pts)
         g = _expanders_modified(
-            np.ones(4, bool), (4,), pts, model, mean, std, 2.0, 0.0
+            np.ones(4, bool), (4,), pts, model, mean, std, 2.0, 0.0,
+            posterior_detail(model, pts)[2],
         )
         assert not g.any()
 
@@ -420,6 +422,47 @@ class TestOptimizerIntegration:
                 opt.step(oracle)
             seqs.append([o.point for o in oracle.log])
         assert seqs[0] == seqs[1]
+
+
+class TestIncrementalGridPosterior:
+    @pytest.mark.parametrize("variant", ["msafeopt", "msafe-ucb"])
+    def test_matches_a_full_refit_after_every_step(self, variant):
+        problem = small_sphere_problem(budget=25)
+        oracle, seed_obs = primed(problem)
+        opt = SafeGpOptimizer(variant, problem, seed_obs)
+        while oracle.running:
+            opt.step(oracle)
+            model = opt.model
+            refit = gp_fit(model.kernel, model.noise_variance, model.train_points,
+                           model.train_targets)
+            mean, std, v = posterior_detail(refit, problem.grid.points)
+            np.testing.assert_allclose(opt._mean, mean, atol=1e-10)
+            np.testing.assert_allclose(opt._std, std, atol=1e-10)
+            np.testing.assert_allclose(opt._v_grid, v, atol=1e-10)
+        diags = opt.diagnostics
+        assert len(diags) == 20
+        assert [d["gp_refactored"] for d in diags] == [True] + [False] * 19
+        assert all(d["gp_jitter"] == 0.0 for d in diags)
+
+    def test_reevaluated_noiseless_point_forces_a_refactorization(self):
+        # One seed just above the threshold: only it is safe after the
+        # first step, so the optimizer evaluates it again. The duplicate
+        # row has d^2 = 4 - (4 / 2)^2 = 0 exactly, the extension breaks
+        # down and the jitter ladder takes over.
+        problem = small_sphere_problem(noise=0.0)
+        i = int(np.flatnonzero(problem.grid.values >= problem.threshold)[0])
+        x = tuple(problem.grid.points[i])
+        seed = Observation(point=x, y=problem.threshold + 1e-3,
+                           f_true=problem.grid.values[i], is_unsafe=False, step_index=1)
+        opt = SafeGpOptimizer("msafe-ucb", problem, [seed])
+        oracle = Oracle(problem, np.random.default_rng(0))
+        for _ in range(3):
+            opt.step(oracle)
+        first, second, third = opt.diagnostics
+        assert first["chosen_index"] == i
+        assert (first["gp_refactored"], first["gp_jitter"]) == (True, 0.0)
+        assert second["gp_refactored"] and second["gp_jitter"] > 0.0
+        assert third["gp_refactored"]  # a jittered factor is never extended
 
 
 class TestOptimizerConstruction:
