@@ -1,0 +1,8 @@
+"""``python -m safeobench``: the same command line as ``safeobench``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

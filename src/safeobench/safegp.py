@@ -13,7 +13,12 @@ happen only on the first step and when the extension breaks down.
 
 * ``safeopt`` / ``safe-ucb`` certify safety with a Lipschitz bound
   around previously-safe points: x is safe iff some safe x_s satisfies
-  l(x_s) - L * d(x_s, x) >= h. They differ only in selection.
+  l(x_s) - L * d(x_s, x) >= h. They differ only in selection. Their
+  geometry depends only on the grid and the safe set, so it is not
+  rebuilt every step: the safe-set update reads the domain diameter from
+  the optimizer's grid KD-tree, and the optimizer caches each safe
+  point's distance to the nearest outside point until the safe set
+  changes.
 * ``msafeopt`` / ``msafe-ucb`` drop the Lipschitz constant and certify
   directly from the GP lower bound, l(x) >= h. Their safe set is unioned
   with the previous one so the initial seeds can never drop out when a
@@ -94,10 +99,14 @@ def update_safe_set_lipschitz(
     (l - threshold) / lipschitz around it, so candidate points come from
     a KD-tree ball query (radius padded well beyond float rounding) and
     the exact inequality is then evaluated on those candidates only.
-    ``tree`` may pass a prebuilt cKDTree over ``points``.
+    When the largest ball reaches half the domain diameter, a dense scan
+    replaces the ball queries. ``tree`` may pass a prebuilt cKDTree over
+    ``points`` (one is built otherwise); the diameter comes from its
+    bounding box, ``tree.maxes - tree.mins``, which equals the per-axis
+    extent of ``points`` exactly.
     """
-    if lipschitz < 0:
-        raise ValueError("lipschitz must be >= 0")
+    if not lipschitz > 0:
+        raise ValueError("lipschitz must be > 0")
     prev_idx = np.flatnonzero(prev_mask)
     if prev_idx.size == 0:
         raise ValueError("previous safe set is empty")
@@ -107,8 +116,6 @@ def update_safe_set_lipschitz(
     certifiers = prev_idx[keep]
     if certifiers.size == 0:
         return np.zeros(n, dtype=bool)
-    if lipschitz == 0.0:
-        return np.ones(n, dtype=bool)
     l_cert = l_prev[keep]
     # Largest certified margin first: its ball marks the most points and
     # already-marked points are skipped below.
@@ -124,8 +131,9 @@ def update_safe_set_lipschitz(
     ) / lipschitz
     r_query = radius + slack
 
-    span = points.max(axis=0) - points.min(axis=0)
-    diameter = float(np.sqrt(np.sum(np.square(span))))
+    if tree is None:
+        tree = cKDTree(points)
+    diameter = float(np.sqrt(np.sum(np.square(tree.maxes - tree.mins))))
     if float(r_query.max()) >= 0.5 * diameter:
         # Balls cover a large fraction of the domain: a dense scan is
         # cheaper than per-ball queries.
@@ -138,8 +146,6 @@ def update_safe_set_lipschitz(
             mask |= hit
         return mask
 
-    if tree is None:
-        tree = cKDTree(points)
     balls = tree.query_ball_point(points[certifiers], r_query)
     for ci, members in enumerate(balls):
         members = np.asarray(members, dtype=int)
@@ -187,29 +193,40 @@ def boundary_candidates(safe_mask: np.ndarray, shape: tuple[int, ...]) -> np.nda
     return np.flatnonzero((m & outer).reshape(-1))
 
 
+def _nearest_outside_distance(safe_mask: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each safe point, in index order, to the
+    nearest grid point outside the safe set (inf when there is none)."""
+    inside = np.flatnonzero(safe_mask)
+    outside = np.flatnonzero(~safe_mask)
+    if outside.size == 0:
+        return np.full(inside.size, np.inf)
+    _, nn = cKDTree(points[outside]).query(points[inside])
+    return np.sqrt(
+        np.sum(np.square(points[inside] - points[outside[nn]]), axis=1)
+    )
+
+
 def _expanders_lipschitz(
     safe_mask: np.ndarray,
     bounds: ConfidenceBounds,
     lipschitz: float,
-    points: np.ndarray,
+    outside_dist: np.ndarray,
     threshold: float,
 ) -> np.ndarray:
+    """Expanders for the Lipschitz variants.
+
+    A safe point c expands iff u(c) - lipschitz * d(c, o) >= threshold for
+    some outside point o. The test is monotone in distance, so the nearest
+    outside point decides it: ``outside_dist`` holds that distance for each
+    safe point (``_nearest_outside_distance``). It depends only on the
+    safe set, so the optimizer caches it across steps.
+    """
+    if not lipschitz > 0:
+        raise ValueError("lipschitz must be > 0")
     mask = np.zeros(safe_mask.size, dtype=bool)
-    outside = np.flatnonzero(~safe_mask)
-    if outside.size == 0:
-        return mask
     inside = np.flatnonzero(safe_mask)
     u_in = bounds.upper[inside]
-    if lipschitz == 0.0:
-        mask[inside[u_in >= threshold]] = True
-        return mask
-    # The certification test is monotone in distance, so the nearest
-    # outside point decides it.
-    _, nn = cKDTree(points[outside]).query(points[inside])
-    dist = np.sqrt(
-        np.sum(np.square(points[inside] - points[outside[nn]]), axis=1)
-    )
-    mask[inside[u_in - lipschitz * dist >= threshold]] = True
+    mask[inside[u_in - lipschitz * outside_dist >= threshold]] = True
     return mask
 
 
@@ -289,7 +306,7 @@ def compute_expanders(
             safe_mask,
             bounds,
             state.lipschitz,
-            state.grid.points,
+            state.outside_distance(safe_mask),
             state.threshold_z,
         )
     return _expanders_modified(
@@ -387,6 +404,10 @@ class SafeGpOptimizer:
         self.g_mask = np.zeros(self.grid.n_points, dtype=bool)
         self._bounds: Optional[ConfidenceBounds] = None
         self._grid_tree: Optional[cKDTree] = None
+        # Lipschitz expanders: nearest-outside distances of the safe points
+        # and the safe mask they were computed for.
+        self._outside_dist: Optional[np.ndarray] = None
+        self._outside_dist_mask: Optional[np.ndarray] = None
         # Grid posterior of the Lipschitz-free variants, kept across steps:
         # mean, variance and std over the grid, the whitened centered
         # targets z = L^-1 y and V = L^-1 k(X, grid). V's rows live in a
@@ -439,6 +460,14 @@ class SafeGpOptimizer:
             )
         self._bounds_at(np.flatnonzero(new_mask), lower, upper)
         self.safe_mask = new_mask
+
+    def outside_distance(self, safe_mask: np.ndarray) -> np.ndarray:
+        """``_nearest_outside_distance`` of ``safe_mask`` over the grid,
+        recomputed only when the mask differs from the cached one's."""
+        if not np.array_equal(safe_mask, self._outside_dist_mask):
+            self._outside_dist = _nearest_outside_distance(safe_mask, self.grid.points)
+            self._outside_dist_mask = safe_mask.copy()
+        return self._outside_dist
 
     def _append_grid_row(self) -> None:
         """Grow the grid posterior by the model's newest training point.

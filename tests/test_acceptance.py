@@ -132,7 +132,7 @@ def test_c02_safe_set_brute_force_equality():
         lower = rng.normal(0, 2, size=n)
         prev = np.zeros(n, dtype=bool)
         prev[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = True
-        lipschitz = float(rng.choice([0.0, 0.05, 0.5, 2.0, rng.uniform(0, 20)]))
+        lipschitz = float(rng.choice([0.01, 0.05, 0.5, 2.0, rng.uniform(0, 20)]))
         threshold = float(rng.normal(0, 1.5))
         got = update_safe_set_lipschitz(
             prev, fake_bounds(lower), lipschitz, points, threshold

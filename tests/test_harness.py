@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import safeobench
 from safeobench import cli, harness
 from safeobench.harness import (
     ConfigError,
@@ -273,6 +277,19 @@ class TestCli:
         assert rc == 0
         assert "threshold h" in out
         assert "lipschitz L" in out
+
+    def test_module_entry_point(self):
+        # python -m safeobench runs the same command line as cli.main.
+        src = str(Path(safeobench.__file__).resolve().parents[1])
+        config = Path(__file__).resolve().parents[1] / "configs" / "sphere.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "safeobench", "problem", "inspect", str(config)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "threshold h" in proc.stdout
 
     def test_run_subcommand(self, tmp_path, capsys):
         rc = cli.main(

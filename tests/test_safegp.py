@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from safeobench import safegp
 from safeobench.gp import ConfidenceBounds, KernelSpec, gp_fit, gp_posterior, posterior_detail
-from safeobench.problems import make_objective
+from safeobench.problems import Scenario, make_objective
 from safeobench.safeop import Observation, Oracle, make_problem, sample_safe_seeds
 from safeobench.safegp import (
     SafeGpOptimizer,
     StalledAlgorithmError,
     _expanders_lipschitz,
     _expanders_modified,
+    _nearest_outside_distance,
     boundary_candidates,
     compute_maximizers,
     select_next,
@@ -29,6 +31,16 @@ def brute_force_lipschitz_update(prev_mask, lower, lipschitz, points, threshold)
             d = np.sqrt(np.sum(np.square(points[i] - points[j])))
             if lower[i] - lipschitz * d >= threshold:
                 out[j] = True
+    return out
+
+
+def brute_force_lipschitz_expanders(safe_mask, upper, lipschitz, points, threshold):
+    """any(u(c) - L * |c - o| >= h for o outside), one safe point c at a time."""
+    out = np.zeros(len(safe_mask), dtype=bool)
+    outside = points[~safe_mask]
+    for c in np.flatnonzero(safe_mask):
+        d = np.sqrt(np.sum(np.square(points[c] - outside), axis=1))
+        out[c] = bool(np.any(upper[c] - lipschitz * d >= threshold))
     return out
 
 
@@ -73,7 +85,7 @@ def random_lipschitz_instance(rng):
     lower = rng.normal(0, 2, size=n)
     prev = np.zeros(n, dtype=bool)
     prev[rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)] = True
-    lipschitz = float(rng.choice([0.0, 0.1, 1.0, 5.0, rng.uniform(0, 10)]))
+    lipschitz = float(rng.choice([0.01, 0.1, 1.0, 5.0, rng.uniform(0, 10)]))
     threshold = float(rng.normal(0, 1))
     return prev, lower, lipschitz, points, threshold
 
@@ -83,6 +95,11 @@ def fake_bounds(lower, upper=None, beta=2.0):
     if upper is None:
         upper = lower
     return ConfidenceBounds(lower=lower, upper=np.asarray(upper, dtype=float), beta=beta)
+
+
+def lipschitz_expanders(safe_mask, bounds, lipschitz, points, threshold):
+    dist = _nearest_outside_distance(safe_mask, points)
+    return _expanders_lipschitz(safe_mask, bounds, lipschitz, dist, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +123,13 @@ class TestLipschitzSafeSetUpdate:
         got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, pts, 3.0)
         assert got.all()
 
-    def test_zero_lipschitz_certifies_everything(self):
+    def test_zero_lipschitz_rejected(self):
         pts = np.arange(4.0).reshape(-1, 1)
         prev = np.array([True, False, False, False])
         lower = np.array([3.5, np.nan, np.nan, np.nan])
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.0, pts, 3.0)
-        assert got.all()
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="lipschitz"):
+                update_safe_set_lipschitz(prev, fake_bounds(lower), bad, pts, 3.0)
 
     def test_huge_lipschitz_keeps_only_certifiers(self):
         pts = np.linspace(0, 1, 6).reshape(-1, 1)
@@ -207,15 +225,16 @@ class TestMaximizers:
 class TestLipschitzExpanders:
     def test_full_grid_safe_has_no_expanders(self):
         pts = np.arange(3.0).reshape(-1, 1)
-        g = _expanders_lipschitz(np.ones(3, bool), fake_bounds([1.0] * 3), 1.0, pts, 0.0)
+        g = lipschitz_expanders(np.ones(3, bool), fake_bounds([1.0] * 3), 1.0, pts, 0.0)
         assert not g.any()
 
     def test_zero_lipschitz(self):
         pts = np.arange(3.0).reshape(-1, 1)
         safe = np.array([True, True, False])
         bounds = fake_bounds([np.nan] * 3, [1.0, -5.0, np.nan])
-        g = _expanders_lipschitz(safe, bounds, 0.0, pts, 0.0)
-        np.testing.assert_array_equal(g, [True, False, False])
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="lipschitz"):
+                lipschitz_expanders(safe, bounds, bad, pts, 0.0)
 
     def test_1d_worked_example(self):
         # S = {1}, u(1) = 4, h = 3: with L = 2, 4 - 2*1 = 2 < 3 (no);
@@ -223,8 +242,8 @@ class TestLipschitzExpanders:
         pts = np.arange(3.0).reshape(-1, 1)
         safe = np.array([False, True, False])
         bounds = fake_bounds([np.nan] * 3, [np.nan, 4.0, np.nan])
-        assert not _expanders_lipschitz(safe, bounds, 2.0, pts, 3.0)[1]
-        assert _expanders_lipschitz(safe, bounds, 0.5, pts, 3.0)[1]
+        assert not lipschitz_expanders(safe, bounds, 2.0, pts, 3.0)[1]
+        assert lipschitz_expanders(safe, bounds, 0.5, pts, 3.0)[1]
 
     def test_subset_of_safe(self):
         rng = np.random.default_rng(5)
@@ -232,8 +251,56 @@ class TestLipschitzExpanders:
         safe = rng.random(60) < 0.4
         safe[0] = True
         bounds = fake_bounds(np.zeros(60), rng.normal(1, 1, 60))
-        g = _expanders_lipschitz(safe, bounds, 1.0, pts, 0.5)
+        g = lipschitz_expanders(safe, bounds, 1.0, pts, 0.5)
         assert np.all(safe[g])
+
+    def test_matches_brute_force_on_random_instances(self):
+        # 1-D scattered points and 2-D grids; every fifth safe set is the
+        # whole grid, the others cover 5% to 95% of it.
+        rng = np.random.default_rng(19)
+        n_expanders = n_safe = 0
+        for trial in range(40):
+            _, upper, L, pts, h = random_lipschitz_instance(rng)
+            n = len(pts)
+            if trial % 5 == 0:
+                safe = np.ones(n, dtype=bool)
+            else:
+                safe = rng.random(n) < rng.uniform(0.05, 0.95)
+                safe[rng.integers(n)] = True
+            bounds = fake_bounds(np.zeros(n), upper)
+            got = lipschitz_expanders(safe, bounds, L, pts, h)
+            want = brute_force_lipschitz_expanders(safe, upper, L, pts, h)
+            np.testing.assert_array_equal(got, want)
+            n_expanders += int(got.sum())
+            n_safe += int(safe.sum())
+        assert 0 < n_expanders < n_safe  # both outcomes are exercised
+
+    @pytest.mark.parametrize("margin, expands", [(0.0, True), (-1e-9, False)])
+    def test_equal_distance_ties(self, margin, expands):
+        # Integer grids, so every distance is exact. 1-D: the safe point 3
+        # has outside points 2 and 4 at distance 1. 2-D, a safe 3x3 block
+        # in a 5x5 grid: the centre has four outside points at distance 2,
+        # each corner two at distance 1, each edge middle one at distance 1.
+        # u(c) = h + L * d(c) sits exactly on the certification boundary.
+        L, h = 2.0, 1.0
+        line = np.arange(7.0).reshape(-1, 1)
+        mesh = np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij")
+        square = np.stack([m.ravel() for m in mesh], axis=1)
+        cases = (
+            (line, np.arange(7) == 3, np.ones(7)),
+            (
+                square,
+                (np.abs(square - 2.0) <= 1.0).all(axis=1),
+                np.where((square == 2.0).all(axis=1), 2.0, 1.0),
+            ),
+        )
+        for pts, safe, dist in cases:
+            upper = np.where(safe, h + L * dist + margin, np.nan)
+            bounds = fake_bounds(np.zeros(len(pts)), upper)
+            got = lipschitz_expanders(safe, bounds, L, pts, h)
+            want = brute_force_lipschitz_expanders(safe, upper, L, pts, h)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, safe if expands else np.zeros_like(safe))
 
 
 class TestBoundaryCandidates:
@@ -463,6 +530,59 @@ class TestIncrementalGridPosterior:
         assert (first["gp_refactored"], first["gp_jitter"]) == (True, 0.0)
         assert second["gp_refactored"] and second["gp_jitter"] > 0.0
         assert third["gp_refactored"]  # a jittered factor is never extended
+
+
+class TestLipschitzExpanderCache:
+    # On the sphere at the 50th percentile the safe set grows on most
+    # steps; on Styblinski-Tang s1 it stays at the seeds.
+    @pytest.mark.parametrize(
+        "objective, percentile, scenario, grows",
+        [
+            ("sphere", 50.0, Scenario.NONE, True),
+            ("styblinski-tang", 75.0, Scenario.S1, False),
+        ],
+    )
+    def test_cached_distances_match_brute_force(
+        self, objective, percentile, scenario, grows, monkeypatch
+    ):
+        built = []
+        tree_cls = safegp.cKDTree
+
+        def counting_tree(data, *args, **kwargs):
+            built.append(len(data))
+            return tree_cls(data, *args, **kwargs)
+
+        monkeypatch.setattr(safegp, "cKDTree", counting_tree)
+        problem = make_problem(
+            make_objective(objective),
+            nodes_per_axis=30,
+            percentile=percentile,
+            noise_std=0.1,
+            eval_budget=25,
+            scenario=scenario,
+        )
+        pts = problem.grid.points
+        oracle, seed_obs = primed(problem)
+        opt = SafeGpOptimizer("safeopt", problem, seed_obs)
+        masks = []
+        while oracle.running:
+            opt.step(oracle)
+            want = brute_force_lipschitz_expanders(
+                opt.safe_mask, opt._bounds.upper, opt.lipschitz, pts, opt.threshold_z
+            )
+            np.testing.assert_array_equal(opt.g_mask, want)
+            masks.append(opt.safe_mask.copy())
+        changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
+        if grows:
+            assert changes >= 10
+            assert any(d["n_expanders"] for d in opt.diagnostics)
+        else:
+            assert changes == 1
+        # One tree over the whole grid per run, one over the outside
+        # points per distinct safe mask.
+        n = problem.grid.n_points
+        assert built.count(n) == 1
+        assert len(built) - 1 == changes
 
 
 class TestOptimizerConstruction:
