@@ -8,6 +8,11 @@ evaluated point was unsafe is discarded and regenerated from scratch
 budget. Both variants handle noise by averaging: every solution's
 fitness is the mean of all noisy observations recorded at exactly that
 point, so duplicates share one fitness value.
+
+Bookkeeping costs O(1) per evaluation: :class:`EvalHistory` caches each
+point's mean when an observation arrives and keeps the distinct points
+in a growing float64 buffer for the VA nearest-neighbour scan, and the
+optimizer builds its box bounds array once.
 """
 
 from __future__ import annotations
@@ -61,12 +66,21 @@ class EvalHistory:
     """All evaluated points with their noisy values and safety flags.
 
     Keyed by exact coordinate tuple. Supports the averaging scheme and
-    nearest-neighbor safety lookups for VA.
+    nearest-neighbor safety lookups for VA, each at O(1) bookkeeping per
+    evaluation: ``record`` refreshes the point's cached mean (the same
+    ``np.mean`` over all of its values, so ``mean_at`` is a dict lookup)
+    together with its latest safety flag, and appends a new point to a
+    float64 buffer, doubled when full, that ``nearest`` scans in place.
     """
+
+    _INITIAL_CAPACITY = 64
 
     def __init__(self) -> None:
         self._order: list[tuple[float, ...]] = []
-        self._data: dict[tuple[float, ...], list[tuple[float, bool]]] = {}
+        # point -> (its values, their mean, safety flag of its latest record)
+        self._data: dict[tuple[float, ...], tuple[list[float], float, bool]] = {}
+        # Rows [0, len(self)) hold the distinct points in insertion order.
+        self._points: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._order)
@@ -77,23 +91,33 @@ class EvalHistory:
     def record(self, obs: Observation) -> None:
         entry = self._data.get(obs.point)
         if entry is None:
-            self._data[obs.point] = [(obs.y, obs.is_unsafe)]
-            self._order.append(obs.point)
+            self._append_point(obs.point)
+            ys = [obs.y]
         else:
-            entry.append((obs.y, obs.is_unsafe))
+            ys = entry[0]
+            ys.append(obs.y)
+        self._data[obs.point] = (ys, float(np.mean(ys)), obs.is_unsafe)
+
+    def _append_point(self, point: tuple[float, ...]) -> None:
+        n = len(self._order)
+        if self._points is None:
+            self._points = np.empty((self._INITIAL_CAPACITY, len(point)))
+        elif n == self._points.shape[0]:
+            grown = np.empty((2 * n, self._points.shape[1]))
+            grown[:n] = self._points
+            self._points = grown
+        self._points[n] = point
+        self._order.append(point)
 
     def mean_at(self, point) -> float:
-        point = tuple(point)
-        if point not in self._data:
-            raise KeyError(f"{point} was never evaluated")
-        return float(np.mean([y for y, _ in self._data[point]]))
+        try:
+            return self._data[tuple(point)][1]
+        except KeyError:
+            raise KeyError(f"{tuple(point)} was never evaluated") from None
 
     def last_unsafe_at(self, point) -> bool:
         """Safety flag of the most recent observation at a point."""
-        return self._data[tuple(point)][-1][1]
-
-    def points_array(self) -> np.ndarray:
-        return np.asarray(self._order, dtype=float)
+        return self._data[tuple(point)][2]
 
     def nearest(self, candidate) -> tuple[float, ...]:
         """History point closest to the candidate (Euclidean).
@@ -102,7 +126,7 @@ class EvalHistory:
         """
         if not self._order:
             raise RuntimeError("history is empty")
-        pts = self.points_array()
+        pts = self._points[: len(self._order)]
         cand = np.asarray(candidate, dtype=float)
         dist = np.sqrt(np.sum(np.square(pts - cand), axis=1))
         return self._order[int(np.argmin(dist))]
@@ -140,18 +164,21 @@ def gaussian_mutation(
     x: np.ndarray,
     mutation_prob: float,
     mutation_std: float,
-    bounds: Sequence[tuple[float, float]],
+    bounds: Sequence[tuple[float, float]] | np.ndarray,
     rng: np.random.Generator,
     mutation_mean: float = 0.0,
 ) -> np.ndarray:
-    """Per-coordinate Gaussian perturbation, clamped to the box."""
+    """Per-coordinate Gaussian perturbation, clamped to the box.
+
+    ``bounds`` holds one (lo, hi) pair per coordinate, as a sequence of
+    pairs or as a (d, 2) float array (which is used without a copy).
+    """
     x = np.asarray(x, dtype=float)
     mask = rng.random(x.size) < mutation_prob
     noise = rng.normal(mutation_mean, mutation_std, size=x.size)
     out = np.where(mask, x + noise, x)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.clip(out, lo, hi)
+    bounds = np.asarray(bounds, dtype=float)
+    return np.clip(out, bounds[:, 0], bounds[:, 1])
 
 
 def va_filter(candidate, history: EvalHistory) -> bool:
@@ -193,7 +220,7 @@ class EaOptimizer:
         if not seed_observations:
             raise ValueError("need at least one seed observation")
         self.problem = problem
-        self.bounds = problem.objective.bounds
+        self.bounds = np.asarray(problem.objective.bounds, dtype=float)
         self.rng = rng
         self.va_enabled = va_enabled
         n_seeds = len(seed_observations)

@@ -103,11 +103,13 @@ class Objective:
         return np.asarray(self.batch_fn(arr), dtype=float)
 
     def contains(self, x: Sequence[float]) -> bool:
-        """True when every coordinate lies inside the closed box."""
-        arr = np.asarray(x, dtype=float)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return bool(np.all(arr >= lo) and np.all(arr <= hi))
+        """True when every coordinate lies inside the closed box.
+
+        False for a point of the wrong dimension and for NaN coordinates.
+        """
+        if len(x) != self.dimension:
+            return False
+        return all(lo <= float(c) <= hi for c, (lo, hi) in zip(x, self.bounds))
 
 
 def sphere_eval(x: np.ndarray) -> float:

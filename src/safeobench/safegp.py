@@ -458,7 +458,10 @@ class SafeGpOptimizer:
             raise StalledAlgorithmError(
                 "no previously-safe point can certify anything"
             )
-        self._bounds_at(np.flatnonzero(new_mask), lower, upper)
+        # Members of the previous safe set already hold their bounds.
+        added = np.flatnonzero(new_mask & ~self.safe_mask)
+        if added.size:
+            self._bounds_at(added, lower, upper)
         self.safe_mask = new_mask
 
     def outside_distance(self, safe_mask: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from safeobench import ea as ea_module
 from safeobench.ea import (
     EaOptimizer,
     EaParams,
@@ -182,6 +183,73 @@ class TestAveragedFitness:
     def test_unknown_point(self):
         with pytest.raises(KeyError):
             EvalHistory().mean_at((0.0,))
+
+
+class TestEvalHistory:
+    @staticmethod
+    def brute_force_nearest(order, candidate):
+        # first point with the smallest squared distance, in insertion order
+        best, best_d2 = None, None
+        for p in order:
+            d2 = sum((a - b) ** 2 for a, b in zip(p, candidate))
+            if best_d2 is None or d2 < best_d2:
+                best, best_d2 = p, d2
+        return best
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_matches_brute_force(self, seed):
+        # integer coordinates: many duplicates and exact distance ties
+        rng = np.random.default_rng(seed)
+        h = EvalHistory()
+        order = []
+        for _ in range(int(rng.integers(1, 120))):
+            p = tuple(float(c) for c in rng.integers(-3, 4, size=2))
+            h.record(obs(p, float(rng.normal()), unsafe=bool(rng.random() < 0.3)))
+            if p not in order:
+                order.append(p)
+            cand = tuple(float(c) for c in rng.integers(-4, 5, size=2) / 2)
+            assert h.nearest(cand) == self.brute_force_nearest(order, cand)
+        assert len(h) == len(order)
+
+    def test_buffer_grows_past_initial_capacity(self):
+        h = EvalHistory()
+        n = 3 * EvalHistory._INITIAL_CAPACITY + 5
+        pts = [(float(i), float(-i)) for i in range(n)]
+        for i, p in enumerate(pts):
+            h.record(obs(p, float(i), unsafe=i % 2 == 1))
+        assert len(h) == n
+        for i, p in enumerate(pts):
+            assert h.nearest(np.array(p) + 0.1) == p
+            assert h.last_unsafe_at(p) == (i % 2 == 1)
+            assert h.mean_at(p) == float(i)
+        assert h.nearest((1e9, -1e9)) == pts[-1]
+
+    def test_mean_at_equals_numpy_mean_after_reevaluations(self):
+        rng = np.random.default_rng(3)
+        h = EvalHistory()
+        p = (0.25, -1.5)
+        h.record(obs((9.0, 9.0), 100.0))  # another point, left untouched
+        values = []
+        for count in range(1, 21):
+            values.append(float(rng.normal(0.0, 1e3)))
+            h.record(obs(p, values[-1]))
+            if count in (1, 7, 8, 20):
+                assert h.mean_at(p) == float(np.mean(values))
+        assert h.mean_at((9.0, 9.0)) == 100.0
+        assert len(h) == 2
+
+    def test_last_unsafe_follows_latest_record(self):
+        h = EvalHistory()
+        p = (1.0, 2.0)
+        for flag in (False, True, True, False, True):
+            h.record(obs(p, 0.0, unsafe=flag))
+            assert h.last_unsafe_at(p) is flag
+        assert p in h and (2.0, 1.0) not in h
+
+    def test_empty_history(self):
+        with pytest.raises(RuntimeError):
+            EvalHistory().nearest((0.0, 0.0))
 
 
 class TestSurvivalSelection:
@@ -388,3 +456,78 @@ class TestVaScreening:
         evals_before = oracle.evals_used
         opt.step(oracle)
         assert oracle.evals_used == evals_before + 2  # only accepted ones
+
+
+class NaiveEvalHistory:
+    """Reference history: a list of values per point and a full scan of
+    every point for each nearest-neighbour query."""
+
+    def __init__(self):
+        self._order = []
+        self._data = {}
+
+    def __len__(self):
+        return len(self._order)
+
+    def __contains__(self, point):
+        return tuple(point) in self._data
+
+    def record(self, o):
+        entry = self._data.get(o.point)
+        if entry is None:
+            self._data[o.point] = [(o.y, o.is_unsafe)]
+            self._order.append(o.point)
+        else:
+            entry.append((o.y, o.is_unsafe))
+
+    def mean_at(self, point):
+        return float(np.mean([y for y, _ in self._data[tuple(point)]]))
+
+    def last_unsafe_at(self, point):
+        return self._data[tuple(point)][-1][1]
+
+    def nearest(self, candidate):
+        pts = np.asarray(self._order, dtype=float)
+        cand = np.asarray(candidate, dtype=float)
+        dist = np.sqrt(np.sum(np.square(pts - cand), axis=1))
+        return self._order[int(np.argmin(dist))]
+
+
+class TestReferenceHistory:
+    def run_va_ea(self, history_cls, monkeypatch):
+        problem = make_problem(
+            make_objective("styblinski-tang"),
+            nodes_per_axis=100,
+            percentile=95.0,
+            noise_std=0.1,
+            eval_budget=300,
+        )
+        oracle = Oracle(problem, np.random.default_rng(41))
+        seeds = sample_safe_seeds(problem, 10, np.random.default_rng(42))
+        seed_obs = oracle.prime(seeds)
+        with monkeypatch.context() as m:
+            m.setattr(ea_module, "EvalHistory", history_cls)
+            opt = EaOptimizer(
+                problem,
+                seed_obs,
+                np.random.default_rng(43),
+                params=EaParams(mu=10, lam=10, mutation_std=1.0, retry_cap=3),
+                va_enabled=True,
+            )
+        assert isinstance(opt.history, history_cls)
+        while oracle.running:
+            opt.step(oracle)
+        return oracle, opt
+
+    def test_matches_naive_history(self, monkeypatch):
+        ref_oracle, ref = self.run_va_ea(NaiveEvalHistory, monkeypatch)
+        oracle, opt = self.run_va_ea(EvalHistory, monkeypatch)
+        assert oracle.log == ref_oracle.log
+        assert [(i.point, i.fitness, i.birth) for i in opt.population] == [
+            (i.point, i.fitness, i.birth) for i in ref.population
+        ]
+        assert opt.diagnostics == ref.diagnostics
+        # the run exercised rejections, forced accepts and re-evaluations
+        assert oracle.unsafe_used > 0
+        assert any(d["forced_accepts"] for d in opt.diagnostics)
+        assert len(opt.history) < len(oracle.log)

@@ -144,6 +144,38 @@ class TestPurityAndBatch:
             assert obj.eval(row) == v
 
 
+class TestContains:
+    OBJ = make_objective("sphere", dimension=2, bounds=[(-1.0, 2.0), (-3.0, 4.0)])
+
+    def test_interior_point(self):
+        assert self.OBJ.contains((0.5, 0.0))
+        assert self.OBJ.contains(np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        assert not self.OBJ.contains((bad, 0.0))
+        assert not self.OBJ.contains((0.0, bad))
+
+    @pytest.mark.parametrize("x", [(), (0.0,), (0.0, 0.0, 0.0)])
+    def test_wrong_length_rejected(self, x):
+        assert not self.OBJ.contains(x)
+        assert not self.OBJ.contains(np.asarray(x, dtype=float))
+
+    def test_exact_bounds_inclusive(self):
+        for corner in ((-1.0, -3.0), (-1.0, 4.0), (2.0, -3.0), (2.0, 4.0)):
+            assert self.OBJ.contains(corner)
+
+    def test_one_ulp_outside_rejected(self):
+        bounds = self.OBJ.bounds
+        for axis, (lo, hi) in enumerate(bounds):
+            for edge, away in ((lo, -np.inf), (hi, np.inf)):
+                x = [0.0, 0.0]
+                x[axis] = float(np.nextafter(edge, away))
+                assert not self.OBJ.contains(tuple(x))
+                x[axis] = float(np.nextafter(edge, -away))
+                assert self.OBJ.contains(tuple(x))
+
+
 class TestRegistry:
     def test_names(self):
         assert set(objective_names()) >= {"sphere", "styblinski-tang"}

@@ -23,14 +23,15 @@ from safeobench.safegp import (
 
 
 def brute_force_lipschitz_update(prev_mask, lower, lipschitz, points, threshold):
-    """Exhaustive double loop over (previous member, grid point)."""
-    n = len(prev_mask)
-    out = np.zeros(n, dtype=bool)
+    """Exhaustive scan over (previous member, grid point) pairs.
+
+    One distance row per previous member against every point, with the
+    per-pair expression of the plain double loop.
+    """
+    out = np.zeros(len(prev_mask), dtype=bool)
     for i in np.flatnonzero(prev_mask):
-        for j in range(n):
-            d = np.sqrt(np.sum(np.square(points[i] - points[j])))
-            if lower[i] - lipschitz * d >= threshold:
-                out[j] = True
+        d = np.sqrt(np.sum(np.square(points[i] - points), axis=1))
+        out |= lower[i] - lipschitz * d >= threshold
     return out
 
 
