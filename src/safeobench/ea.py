@@ -17,7 +17,7 @@ optimizer builds its box bounds array once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -227,15 +227,7 @@ class EaOptimizer:
         if params is None:
             params = EaParams(mu=n_seeds, lam=n_seeds)
         if params.mutation_prob is None:
-            params = EaParams(
-                mu=params.mu,
-                lam=params.lam,
-                crossover_prob=params.crossover_prob,
-                mutation_prob=1.0 / problem.objective.dimension,
-                mutation_mean=params.mutation_mean,
-                mutation_std=params.mutation_std,
-                retry_cap=params.retry_cap,
-            )
+            params = replace(params, mutation_prob=1.0 / problem.objective.dimension)
         self.params = params
         self.history = EvalHistory()
         for obs in seed_observations:

@@ -1,13 +1,16 @@
 """Exact Gaussian-process regression with fixed hyperparameters.
 
 A deliberately small GP: isotropic squared-exponential kernel, constant
-prior mean, known noise variance. Hyperparameters never change, so a
+prior mean, known noise variance. The model's one weight vector is the
+whitened centered targets z = L^-1 (y - m0), and the posterior mean at Q
+is m0 + z.V with V = L^-1 k(X, Q). Hyperparameters never change, so a
 model that grows by one training point extends the previous Cholesky
-factor by one row (O(n^2)) instead of refactoring; a full factorization
-with the jitter ladder runs only on the first fit and when the extension
-breaks down. Training sizes never exceed the evaluation budget (~100
-points), so no approximations are needed. Posterior queries over large
-grids are chunked to bound memory.
+factor and z together by one row (O(n^2)) instead of refactoring; a full
+factorization with the jitter ladder, then one triangular solve for z,
+runs only on the first fit and when the extension breaks down. Training
+sizes never exceed the evaluation budget (~100 points), so no
+approximations are needed. Posterior queries over large grids are
+chunked to bound memory.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -74,12 +77,13 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GpModel:
     """Posterior state after fitting; treat as immutable.
 
-    ``chol`` is the lower Cholesky factor of K + noise_variance*I (with
-    any jitter that was needed), ``alpha`` solves that matrix against the
-    centered targets. ``extended`` is true when ``chol`` came from
-    appending one row to the previous model's factor rather than from a
-    full factorization. Empty training sets are allowed; the posterior is
-    then the prior everywhere.
+    ``chol`` is the lower Cholesky factor L of K + noise_variance*I (with
+    any jitter that was needed) and ``z = L^-1 (y - prior_mean)`` holds the
+    whitened centered targets, the model's only weight vector.
+    ``extended`` is true when ``chol`` and ``z`` came from appending one
+    row to the previous model's rather than from a full factorization.
+    Empty training sets are allowed; the posterior is then the prior
+    everywhere.
     """
 
     kernel: KernelSpec
@@ -88,7 +92,7 @@ class GpModel:
     train_targets: np.ndarray
     prior_mean: float = 0.0
     chol: Optional[np.ndarray] = None
-    alpha: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
     jitter: float = 0.0
     extended: bool = False
 
@@ -97,14 +101,15 @@ class GpModel:
         return self.train_points.shape[0]
 
 
-def _extended_chol(prev, kernel, noise_variance, points, targets, prior_mean):
-    """``prev``'s Cholesky factor grown by the row of the last training point.
+def _extended_fit(prev, kernel, noise_variance, points, targets, prior_mean):
+    """``prev``'s Cholesky factor and ``z`` grown by the last training point.
 
     Applies when ``prev`` is a jitter-free fit of the same kernel, noise
     and prior mean on all but the last row. With l = L^-1 k(X, x) and
-    d^2 = k(x, x) + noise - l.l, the grown factor is [[L, 0], [l^T, d]].
-    Returns None when ``prev`` does not apply or d^2 <= 0, where the grown
-    matrix is not numerically positive definite.
+    d^2 = k(x, x) + noise - l.l, the grown factor is [[L, 0], [l^T, d]]
+    and z gains z_n = (y_n - prior_mean - l.z) / d. Returns None when
+    ``prev`` does not apply or d^2 <= 0, where the grown matrix is not
+    numerically positive definite.
     """
     n = targets.size - 1
     if not (
@@ -126,8 +131,9 @@ def _extended_chol(prev, kernel, noise_variance, points, targets, prior_mean):
     chol = np.zeros((n + 1, n + 1))
     chol[:n, :n] = prev.chol
     chol[n, :n] = l
-    chol[n, n] = np.sqrt(d2)
-    return chol
+    chol[n, n] = d = np.sqrt(d2)
+    z_n = (targets[-1] - prior_mean - l @ prev.z) / d
+    return chol, np.append(prev.z, z_n)
 
 
 def gp_fit(
@@ -142,10 +148,11 @@ def gp_fit(
 
     When ``prev`` is a jitter-free fit of the same kernel, noise and prior
     mean on all but the last training point, its factor is extended by
-    one row (O(n^2)) and the model is marked ``extended``. Otherwise, and
-    when the extension breaks down, the full Gram matrix is factorized,
-    escalating diagonal jitter from 1e-10 to 1e-6 if the exact Cholesky
-    fails, and then :class:`FactorizationError` is raised.
+    one row (O(n^2)), ``z`` gains its last entry and the model is marked
+    ``extended``. Otherwise, and when the extension breaks down, the full
+    Gram matrix is factorized, escalating diagonal jitter from 1e-10 to
+    1e-6 if the exact Cholesky fails (then :class:`FactorizationError` is
+    raised), and ``z`` comes from one triangular solve.
     """
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
@@ -163,10 +170,11 @@ def gp_fit(
     if n == 0:
         return GpModel(kernel, noise_variance, points, targets, prior_mean)
 
-    chol = _extended_chol(prev, kernel, noise_variance, points, targets, prior_mean)
-    extended = chol is not None
+    grown = _extended_fit(prev, kernel, noise_variance, points, targets, prior_mean)
     used = 0.0
-    if not extended:
+    if grown is not None:
+        chol, z = grown
+    else:
         gram = kernel_matrix(kernel, points, points)
         gram = 0.5 * (gram + gram.T)  # enforce exact symmetry
         for jit in _JITTERS:
@@ -178,12 +186,12 @@ def gp_fit(
                 break
             except np.linalg.LinAlgError:
                 continue
-    if chol is None:
-        raise FactorizationError(
-            f"Cholesky factorization failed for n={n} even with jitter "
-            f"{_JITTERS[-1]:g} (smallest jitter tried: {_JITTERS[1]:g})"
-        )
-    alpha = cho_solve((chol, True), targets - prior_mean)
+        else:
+            raise FactorizationError(
+                f"Cholesky factorization failed for n={n} even with jitter "
+                f"{_JITTERS[-1]:g} (smallest jitter tried: {_JITTERS[1]:g})"
+            )
+        z = solve_triangular(chol, targets - prior_mean, lower=True)
     return GpModel(
         kernel=kernel,
         noise_variance=noise_variance,
@@ -191,16 +199,16 @@ def gp_fit(
         train_targets=targets,
         prior_mean=prior_mean,
         chol=chol,
-        alpha=alpha,
+        z=z,
         jitter=used,
-        extended=extended,
+        extended=grown is not None,
     )
 
 
 def _posterior_chunk(model: GpModel, queries: np.ndarray):
     kq = kernel_matrix(model.kernel, model.train_points, queries)
-    mean = model.prior_mean + model.alpha @ kq
     v = solve_triangular(model.chol, kq, lower=True, check_finite=False)
+    mean = model.prior_mean + model.z @ v
     var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
     np.clip(var, 0.0, None, out=var)
     return mean, np.sqrt(var), v
@@ -244,7 +252,6 @@ class ConfidenceBounds:
 
     lower: np.ndarray
     upper: np.ndarray
-    beta: float
 
 
 @dataclass(frozen=True)

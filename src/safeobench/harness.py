@@ -152,8 +152,9 @@ CONFIG_SCHEMA = {
     # kernel_matrix scales squared distances by 0.5 / lengthscale**2,
     # which must stay finite and nonzero; gp_fit's largest jitter, 1e-6,
     # must stay above the rounding error of a Gram matrix whose diagonal
-    # is signal_variance, and a noiseless Gram matrix of a subnormal
-    # signal_variance gives infinite weights. The expander test scales
+    # is signal_variance, and a subnormal signal_variance rounds every
+    # kernel value to a few bits (at 5e-324, to 0 or 5e-324), so the
+    # posterior mean loses its precision. The expander test scales
     # covariances (at most signal_variance) by beta / std over stds down
     # to 1e-6, which must stay finite.
     "gp": {

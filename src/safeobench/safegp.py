@@ -5,10 +5,12 @@ the newest observation, recompute confidence bounds, grow the safe set,
 pick the next point, evaluate it through the oracle.
 
 The GP update is incremental: each step appends one row to the previous
-Cholesky factor (see ``gp.gp_fit``), and the Lipschitz-free variants
-append the matching row to the whitened grid cross-kernel V and update
-the grid posterior mean and variance in O(n * grid) instead of
-re-solving the whole grid. A full factorization, and a full grid solve,
+Cholesky factor and one entry to the model's whitened targets z (see
+``gp.gp_fit``), and the Lipschitz-free variants append the matching row
+to the whitened grid cross-kernel V and update the grid posterior mean
+and variance in O(n * grid) instead of re-solving the whole grid. The
+model's z is the only weight vector; the optimizer reads its newest
+entry and keeps no copy. A full factorization, and a full grid solve,
 happen only on the first step and when the extension breaks down.
 
 * ``safeopt`` / ``safe-ucb`` certify safety with a Lipschitz bound
@@ -39,7 +41,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -409,14 +410,13 @@ class SafeGpOptimizer:
         self._outside_dist: Optional[np.ndarray] = None
         self._outside_dist_mask: Optional[np.ndarray] = None
         # Grid posterior of the Lipschitz-free variants, kept across steps:
-        # mean, variance and std over the grid, the whitened centered
-        # targets z = L^-1 y and V = L^-1 k(X, grid). V's rows live in a
+        # mean, variance and std over the grid and V = L^-1 k(X, grid),
+        # whose rows pair with the model's z. V's rows live in a
         # buffer sized for the longest possible run (the evaluation budget
         # plus the seeds), filled top-down; _v_grid views its first n rows.
         self._mean: Optional[np.ndarray] = None
         self._var: Optional[np.ndarray] = None
         self._std: Optional[np.ndarray] = None
-        self._z: Optional[np.ndarray] = None
         self._v_buffer: Optional[np.ndarray] = None
         self._v_grid: Optional[np.ndarray] = None
         self._max_rows = problem.eval_budget + len(seed_observations)
@@ -443,7 +443,7 @@ class SafeGpOptimizer:
         upper = np.full(n, np.nan)
         prev_idx = np.flatnonzero(self.safe_mask)
         self._bounds_at(prev_idx, lower, upper)
-        self._bounds = ConfidenceBounds(lower, upper, self.beta)
+        self._bounds = ConfidenceBounds(lower, upper)
         if self._grid_tree is None:
             self._grid_tree = cKDTree(self.grid.points)
         new_mask = update_safe_set_lipschitz(
@@ -476,8 +476,8 @@ class SafeGpOptimizer:
         """Grow the grid posterior by the model's newest training point.
 
         With the new factor row [l^T, d]: V gains the row
-        (k(x, grid) - l^T V) / d, z gains (y - m0 - l.z) / d, and the
-        mean and variance change by z_n * row and -row^2.
+        (k(x, grid) - l^T V) / d, and with the model's newest weight z_n
+        the mean and variance change by z_n * row and -row^2.
         """
         model = self.model
         n = model.n_train
@@ -485,11 +485,9 @@ class SafeGpOptimizer:
         row = kernel_matrix(self.kernel, model.train_points[-1:], self.grid.points)[0]
         row -= l @ self._v_grid
         row /= d
-        z_n = (model.train_targets[-1] - model.prior_mean - l @ self._z) / d
         self._v_buffer[n - 1] = row
         self._v_grid = self._v_buffer[:n]
-        self._z = np.append(self._z, z_n)
-        self._mean += z_n * row
+        self._mean += model.z[-1] * row
         self._var -= np.square(row)
 
     def _solve_grid(self) -> None:
@@ -503,9 +501,6 @@ class SafeGpOptimizer:
             self._v_buffer = np.empty((self._max_rows, self.grid.n_points), order="F")
         self._v_buffer[:n] = v
         self._v_grid = self._v_buffer[:n]
-        self._z = solve_triangular(
-            model.chol, model.train_targets - model.prior_mean, lower=True
-        )
         self._mean, self._var = mean, np.square(std)
 
     def _update_modified(self) -> None:
@@ -517,9 +512,7 @@ class SafeGpOptimizer:
             self._solve_grid()
         mean = self._mean
         std = self._std = np.sqrt(np.clip(self._var, 0.0, None))
-        self._bounds = ConfidenceBounds(
-            mean - self.beta * std, mean + self.beta * std, self.beta
-        )
+        self._bounds = ConfidenceBounds(mean - self.beta * std, mean + self.beta * std)
         self.safe_mask = update_safe_set_gp(
             self.safe_mask, self._bounds, self.threshold_z
         )

@@ -106,6 +106,7 @@ class TestIncrementalFit:
             fresh = gp_fit(kernel, noise, X[:n], y[:n])
             assert not fresh.extended
             np.testing.assert_allclose(model.chol, fresh.chol, atol=1e-10)
+            np.testing.assert_allclose(model.z, fresh.z, atol=1e-10)
             mean, std = gp_posterior(model, Q)
             fmean, fstd = gp_posterior(fresh, Q)
             omean, ostd = dense_oracle(kernel, noise, X[:n], y[:n], Q)
@@ -135,7 +136,7 @@ class TestIncrementalFit:
         model = gp_fit(kernel, 0.1, [[0.0, 0.0], [1.0, 0.0]], [2.0, 0.0], prev=prev)
         assert not model.extended
         fresh = gp_fit(kernel, 0.1, [[0.0, 0.0], [1.0, 0.0]], [2.0, 0.0])
-        np.testing.assert_array_equal(model.alpha, fresh.alpha)
+        np.testing.assert_array_equal(model.z, fresh.z)
 
 
 class TestPosterior:

@@ -91,11 +91,11 @@ def random_lipschitz_instance(rng):
     return prev, lower, lipschitz, points, threshold
 
 
-def fake_bounds(lower, upper=None, beta=2.0):
+def fake_bounds(lower, upper=None):
     lower = np.asarray(lower, dtype=float)
     if upper is None:
         upper = lower
-    return ConfidenceBounds(lower=lower, upper=np.asarray(upper, dtype=float), beta=beta)
+    return ConfidenceBounds(lower=lower, upper=np.asarray(upper, dtype=float))
 
 
 def lipschitz_expanders(safe_mask, bounds, lipschitz, points, threshold):
@@ -438,11 +438,11 @@ class TestSelectNext:
 # Integration
 
 
-def small_sphere_problem(noise=0.1, budget=30):
+def small_sphere_problem(noise=0.1, budget=30, percentile=90.0):
     return make_problem(
         make_objective("sphere"),
         nodes_per_axis=30,
-        percentile=90.0,
+        percentile=percentile,
         noise_std=noise,
         eval_budget=budget,
     )
@@ -493,20 +493,36 @@ class TestOptimizerIntegration:
 
 
 class TestIncrementalGridPosterior:
-    @pytest.mark.parametrize("variant", ["msafeopt", "msafe-ucb"])
+    @pytest.mark.parametrize("variant", ["safeopt", "safe-ucb", "msafeopt", "msafe-ucb"])
     def test_matches_a_full_refit_after_every_step(self, variant):
-        problem = small_sphere_problem(budget=25)
+        # The Lipschitz variants' safe set stays at the seeds at the 90th
+        # percentile and grows at the 50th, where the bounds of added
+        # members are checked too.
+        percentile = 50.0 if variant in ("safeopt", "safe-ucb") else 90.0
+        problem = small_sphere_problem(budget=25, percentile=percentile)
         oracle, seed_obs = primed(problem)
         opt = SafeGpOptimizer(variant, problem, seed_obs)
+        grown = False
         while oracle.running:
             opt.step(oracle)
             model = opt.model
             refit = gp_fit(model.kernel, model.noise_variance, model.train_points,
                            model.train_targets)
+            # The Lipschitz variants hold bounds at the safe members only.
+            safe = opt.safe_mask
+            grown |= safe.sum() > len(seed_obs)
+            mean, std = gp_posterior(refit, problem.grid.points[safe])
+            np.testing.assert_allclose(opt._bounds.lower[safe], mean - opt.beta * std,
+                                       atol=1e-10)
+            np.testing.assert_allclose(opt._bounds.upper[safe], mean + opt.beta * std,
+                                       atol=1e-10)
+            if opt.uses_lipschitz:
+                continue
             mean, std, v = posterior_detail(refit, problem.grid.points)
             np.testing.assert_allclose(opt._mean, mean, atol=1e-10)
             np.testing.assert_allclose(opt._std, std, atol=1e-10)
             np.testing.assert_allclose(opt._v_grid, v, atol=1e-10)
+        assert grown
         diags = opt.diagnostics
         assert len(diags) == 20
         assert [d["gp_refactored"] for d in diags] == [True] + [False] * 19
