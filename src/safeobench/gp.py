@@ -9,8 +9,8 @@ factor and z together by one row (O(n^2)) instead of refactoring; a full
 factorization with the jitter ladder, then one triangular solve for z,
 runs only on the first fit and when the extension breaks down. Training
 sizes never exceed the evaluation budget (~100 points), so no
-approximations are needed. Posterior queries over large grids are
-chunked to bound memory.
+approximations are needed, and a posterior query solves for all its
+points in one triangular solve.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
 
 # Diagonal jitter escalation ladder tried when the exact Cholesky fails.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-
-_QUERY_CHUNK = 65536
 
 
 class FactorizationError(RuntimeError):
@@ -205,45 +203,37 @@ def gp_fit(
     )
 
 
-def _posterior_chunk(model: GpModel, queries: np.ndarray):
-    kq = kernel_matrix(model.kernel, model.train_points, queries)
-    v = solve_triangular(model.chol, kq, lower=True, check_finite=False)
-    mean = model.prior_mean + model.z @ v
-    var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
-    np.clip(var, 0.0, None, out=var)
-    return mean, np.sqrt(var), v
-
-
 def gp_posterior(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation of the latent function.
 
-    Returns arrays of shape (m,) for an (m, d) query array. Variance is
-    clamped at zero before the square root.
+    Returns arrays of shape (m,) for an (m, d) query array: the prior for
+    an empty model, ``posterior_detail``'s mean and std otherwise.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    m = queries.shape[0]
     if model.n_train == 0:
+        m = np.atleast_2d(np.asarray(queries, dtype=float)).shape[0]
         s = float(np.sqrt(model.kernel.signal_variance))
         return np.full(m, model.prior_mean), np.full(m, s)
-    means, stds = [], []
-    for start in range(0, m, _QUERY_CHUNK):
-        mu, sd, _ = _posterior_chunk(model, queries[start : start + _QUERY_CHUNK])
-        means.append(mu)
-        stds.append(sd)
-    return np.concatenate(means), np.concatenate(stds)
+    mean, std, _ = posterior_detail(model, queries)
+    return mean, std
 
 
 def posterior_detail(model: GpModel, queries):
     """Posterior mean/std plus the whitened cross-kernel V = L^-1 k(X, Q).
 
     V lets callers form posterior cross-covariances between query subsets
-    without re-solving: cov(a, b | data) = k(a, b) - V_a^T V_b. Only valid
-    for fitted models with at least one training point.
+    without re-solving: cov(a, b | data) = k(a, b) - V_a^T V_b. Variance
+    is clamped at zero before the square root. Only valid for fitted
+    models with at least one training point.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if model.n_train == 0:
         raise ValueError("posterior_detail needs a non-empty training set")
-    return _posterior_chunk(model, queries)
+    kq = kernel_matrix(model.kernel, model.train_points, queries)
+    v = solve_triangular(model.chol, kq, lower=True, check_finite=False)
+    mean = model.prior_mean + model.z @ v
+    var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
+    np.clip(var, 0.0, None, out=var)
+    return mean, np.sqrt(var), v
 
 
 @dataclass

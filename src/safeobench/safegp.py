@@ -6,12 +6,14 @@ pick the next point, evaluate it through the oracle.
 
 The GP update is incremental: each step appends one row to the previous
 Cholesky factor and one entry to the model's whitened targets z (see
-``gp.gp_fit``), and the Lipschitz-free variants append the matching row
-to the whitened grid cross-kernel V and update the grid posterior mean
-and variance in O(n * grid) instead of re-solving the whole grid. The
-model's z is the only weight vector; the optimizer reads its newest
-entry and keeps no copy. A full factorization, and a full grid solve,
-happen only on the first step and when the extension breaks down.
+``gp.gp_fit``), then the matching row to the whitened cross-kernel
+V = L^-1 k(X, tracked points), and updates the posterior mean and
+variance at the tracked points in O(n * tracked) instead of re-solving.
+The Lipschitz-free variants track the whole grid; the Lipschitz ones,
+which read bounds only at safe points, track each point from when it
+first turns safe. z is the model's only weight vector. A full
+factorization, and a full solve at the tracked points, happen only on
+the first step and when the extension breaks down.
 
 * ``safeopt`` / ``safe-ucb`` certify safety with a Lipschitz bound
   around previously-safe points: x is safe iff some safe x_s satisfies
@@ -50,7 +52,9 @@ from .gp import (
     KernelSpec,
     TargetTransform,
     gp_fit,
-    gp_posterior,
+    # Not called here: perfbench/tracer.py wraps safegp.gp_posterior to
+    # count posterior queries on the run path, so the name must resolve.
+    gp_posterior,  # noqa: F401
     kernel_matrix,
     posterior_detail,
 )
@@ -319,25 +323,30 @@ def compute_expanders(
         state._std,
         state.beta,
         state.threshold_z,
-        state._v_grid,
+        state._v,
     )
 
 
-def select_next(state: "SafeGpOptimizer") -> tuple[int, bool]:
-    """Pick the next grid index per the state's variant.
+def select_next(
+    variant: str,
+    safe_mask: np.ndarray,
+    bounds: ConfidenceBounds,
+    m_mask: np.ndarray,
+    g_mask: np.ndarray,
+) -> tuple[int, bool]:
+    """Pick the next grid index per ``variant``.
 
     Width-based variants take the widest interval over maximizers union
     expanders, falling back to the whole safe set when both are empty
     (the fallback is flagged). UCB variants take the highest upper bound
     over the safe set. Ties break to the lowest grid index.
     """
-    safe_idx = np.flatnonzero(state.safe_mask)
+    safe_idx = np.flatnonzero(safe_mask)
     if safe_idx.size == 0:
         raise StalledAlgorithmError("safe set is empty")
-    bounds = state._bounds
-    if state.variant not in _WIDTH_VARIANTS:
+    if variant not in _WIDTH_VARIANTS:
         return int(safe_idx[np.argmax(bounds.upper[safe_idx])]), False
-    cand = np.flatnonzero(state.m_mask | state.g_mask)
+    cand = np.flatnonzero(m_mask | g_mask)
     fallback = cand.size == 0
     if fallback:
         cand = safe_idx
@@ -403,23 +412,34 @@ class SafeGpOptimizer:
         self.model: Optional[GpModel] = None
         self.m_mask = np.zeros(self.grid.n_points, dtype=bool)
         self.g_mask = np.zeros(self.grid.n_points, dtype=bool)
-        self._bounds: Optional[ConfidenceBounds] = None
-        self._grid_tree: Optional[cKDTree] = None
+        # Posterior kept across steps at the tracked grid points, in the
+        # order first tracked: the whole grid (a slice, so the arrays are
+        # views) for the Lipschitz-free variants, every point ever marked
+        # safe for the Lipschitz ones. _mean, _var, _std and V's columns
+        # follow that order. V's rows pair with the model's z and fill a
+        # buffer sized for the longest run (evaluation budget plus seeds)
+        # top-down; _v views its first n rows and tracked columns. Column-
+        # major, so the expander test gathers contiguous grid columns and
+        # the Lipschitz variants touch only the buffer's leading pages.
+        # Bounds span the grid and stay NaN where not tracked.
+        if self.uses_lipschitz:
+            self._track = np.flatnonzero(self.safe_mask)
+            self._tracked = self.safe_mask.copy()
+            self._grid_tree = cKDTree(self.grid.points)
+        else:
+            self._track = slice(None)
+        rows = problem.eval_budget + len(seed_observations)
+        self._v_buffer = np.empty((rows, self.grid.n_points), order="F")
+        self._v: Optional[np.ndarray] = None
+        self._mean: Optional[np.ndarray] = None
+        self._var: Optional[np.ndarray] = None
+        self._std: Optional[np.ndarray] = None
+        nan = np.full(self.grid.n_points, np.nan)
+        self._bounds = ConfidenceBounds(nan, nan.copy())
         # Lipschitz expanders: nearest-outside distances of the safe points
         # and the safe mask they were computed for.
         self._outside_dist: Optional[np.ndarray] = None
         self._outside_dist_mask: Optional[np.ndarray] = None
-        # Grid posterior of the Lipschitz-free variants, kept across steps:
-        # mean, variance and std over the grid and V = L^-1 k(X, grid),
-        # whose rows pair with the model's z. V's rows live in a
-        # buffer sized for the longest possible run (the evaluation budget
-        # plus the seeds), filled top-down; _v_grid views its first n rows.
-        self._mean: Optional[np.ndarray] = None
-        self._var: Optional[np.ndarray] = None
-        self._std: Optional[np.ndarray] = None
-        self._v_buffer: Optional[np.ndarray] = None
-        self._v_grid: Optional[np.ndarray] = None
-        self._max_rows = problem.eval_budget + len(seed_observations)
         self.diagnostics: list[dict] = []
 
     def _refit(self) -> GpModel:
@@ -432,20 +452,55 @@ class SafeGpOptimizer:
         )
         return self.model
 
-    def _bounds_at(self, idx: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-        mu, sd = gp_posterior(self.model, self.grid.points[idx])
-        lower[idx] = mu - self.beta * sd
-        upper[idx] = mu + self.beta * sd
+    def _set_bounds(self, idx, mean: np.ndarray, std: np.ndarray) -> None:
+        self._bounds.lower[idx] = mean - self.beta * std
+        self._bounds.upper[idx] = mean + self.beta * std
 
-    def _update_lipschitz(self) -> None:
-        n = self.grid.n_points
-        lower = np.full(n, np.nan)
-        upper = np.full(n, np.nan)
-        prev_idx = np.flatnonzero(self.safe_mask)
-        self._bounds_at(prev_idx, lower, upper)
-        self._bounds = ConfidenceBounds(lower, upper)
-        if self._grid_tree is None:
-            self._grid_tree = cKDTree(self.grid.points)
+    def _track_more(self, added: np.ndarray) -> None:
+        """Track the grid points ``added``: one solve gives their posterior,
+        and their V columns follow the tracked ones."""
+        n, k = self.model.n_train, self._mean.size
+        mean, std, v = posterior_detail(self.model, self.grid.points[added])
+        self._v_buffer[:n, k : k + added.size] = v
+        self._v = self._v_buffer[:n, : k + added.size]
+        self._track = np.concatenate([self._track, added])
+        self._tracked[added] = True
+        self._mean = np.concatenate([self._mean, mean])
+        self._var = np.concatenate([self._var, np.square(std)])
+        self._std = np.concatenate([self._std, std])
+        self._set_bounds(added, mean, std)
+
+    def _update(self) -> None:
+        """Bring the tracked posterior to the new model, then update the
+        bounds and the safe set."""
+        model = self.model
+        n = model.n_train
+        points = self.grid.points[self._track]
+        if model.extended:
+            # The model grew the previous step's model, which the tracked
+            # posterior was computed for, by one point x. With the new
+            # factor row [l^T, d], V gains the row (k(x, .) - l^T V) / d,
+            # and with the model's newest weight z_n the mean and variance
+            # change by z_n * row and -row^2.
+            l, d = model.chol[-1, :-1], model.chol[-1, -1]
+            row = kernel_matrix(self.kernel, model.train_points[-1:], points)[0]
+            row -= l @ self._v
+            row /= d
+            self._v_buffer[n - 1, : row.size] = row
+            self._mean += model.z[-1] * row
+            self._var -= np.square(row)
+        else:
+            self._mean, std, v = posterior_detail(model, points)
+            self._var = np.square(std)
+            self._v_buffer[:n, : v.shape[1]] = v
+        self._v = self._v_buffer[:n, : self._mean.size]
+        self._std = np.sqrt(np.clip(self._var, 0.0, None))
+        self._set_bounds(self._track, self._mean, self._std)
+        if not self.uses_lipschitz:
+            self.safe_mask = update_safe_set_gp(
+                self.safe_mask, self._bounds, self.threshold_z
+            )
+            return
         new_mask = update_safe_set_lipschitz(
             self.safe_mask,
             self._bounds,
@@ -458,10 +513,9 @@ class SafeGpOptimizer:
             raise StalledAlgorithmError(
                 "no previously-safe point can certify anything"
             )
-        # Members of the previous safe set already hold their bounds.
-        added = np.flatnonzero(new_mask & ~self.safe_mask)
+        added = np.flatnonzero(new_mask & ~self._tracked)
         if added.size:
-            self._bounds_at(added, lower, upper)
+            self._track_more(added)
         self.safe_mask = new_mask
 
     def outside_distance(self, safe_mask: np.ndarray) -> np.ndarray:
@@ -472,65 +526,19 @@ class SafeGpOptimizer:
             self._outside_dist_mask = safe_mask.copy()
         return self._outside_dist
 
-    def _append_grid_row(self) -> None:
-        """Grow the grid posterior by the model's newest training point.
-
-        With the new factor row [l^T, d]: V gains the row
-        (k(x, grid) - l^T V) / d, and with the model's newest weight z_n
-        the mean and variance change by z_n * row and -row^2.
-        """
-        model = self.model
-        n = model.n_train
-        l, d = model.chol[-1, :-1], model.chol[-1, -1]
-        row = kernel_matrix(self.kernel, model.train_points[-1:], self.grid.points)[0]
-        row -= l @ self._v_grid
-        row /= d
-        self._v_buffer[n - 1] = row
-        self._v_grid = self._v_buffer[:n]
-        self._mean += model.z[-1] * row
-        self._var -= np.square(row)
-
-    def _solve_grid(self) -> None:
-        """Grid posterior of the model from scratch, through one full solve."""
-        model = self.model
-        n = model.n_train
-        mean, std, v = posterior_detail(model, self.grid.points)
-        if self._v_buffer is None:
-            # Column-major, so the expander test gathers grid columns of V
-            # from contiguous memory.
-            self._v_buffer = np.empty((self._max_rows, self.grid.n_points), order="F")
-        self._v_buffer[:n] = v
-        self._v_grid = self._v_buffer[:n]
-        self._mean, self._var = mean, np.square(std)
-
-    def _update_modified(self) -> None:
-        # An extended model grows the previous step's model, which the
-        # grid posterior was computed for, by one row.
-        if self.model.extended:
-            self._append_grid_row()
-        else:
-            self._solve_grid()
-        mean = self._mean
-        std = self._std = np.sqrt(np.clip(self._var, 0.0, None))
-        self._bounds = ConfidenceBounds(mean - self.beta * std, mean + self.beta * std)
-        self.safe_mask = update_safe_set_gp(
-            self.safe_mask, self._bounds, self.threshold_z
-        )
-
     def step(self, oracle: Oracle) -> Observation:
         """Run one iteration: refit, update sets, select, evaluate."""
         self._refit()
-        if self.uses_lipschitz:
-            self._update_lipschitz()
-        else:
-            self._update_modified()
+        self._update()
         if self.variant in _WIDTH_VARIANTS:
             self.m_mask = compute_maximizers(self.safe_mask, self._bounds)
             self.g_mask = compute_expanders(self.safe_mask, self._bounds, self)
         else:
             self.m_mask[:] = False
             self.g_mask[:] = False
-        idx, fallback = select_next(self)
+        idx, fallback = select_next(
+            self.variant, self.safe_mask, self._bounds, self.m_mask, self.g_mask
+        )
         obs = oracle.evaluate(self.grid.points[idx])
         self._x.append(obs.point)
         self._y.append(obs.y)

@@ -171,6 +171,12 @@ EDGE = {"nodes_per_axis": 10, "eval_budget": 12, "percentile": 50.0}
 LOW_THRESHOLD = {"nodes_per_axis": 6, "eval_budget": 12, "percentile": 1.0}
 
 
+# derandomize fixes the seed, not the draws: hypothesis also draws literals
+# it collects from every loaded local module (``_get_local_constants`` in
+# hypothesis/internal/conjecture/providers.py, with no setting to turn it
+# off), so these 1000 examples change whenever src/ or tests/ change and a
+# latent fault can surface in an unrelated change. Larger runs with random
+# seeds, outside this suite, cover more draws; CHANGES.md records them.
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(raw=raw_configs())
 # a grid the objective is constant on (Lipschitz estimate 0), one whose

@@ -389,49 +389,43 @@ class TestModifiedExpanders:
         assert not g.any()
 
 
-class FakeState:
-    def __init__(self, variant, safe_mask, bounds, m_mask=None, g_mask=None):
-        self.variant = variant
-        self.safe_mask = safe_mask
-        self._bounds = bounds
-        n = safe_mask.size
-        self.m_mask = m_mask if m_mask is not None else np.zeros(n, bool)
-        self.g_mask = g_mask if g_mask is not None else np.zeros(n, bool)
-
-
 class TestSelectNext:
     def test_ucb_takes_max_upper(self):
         safe = np.array([True, True, True, False])
         bounds = fake_bounds([0.0] * 4, [1.0, 3.0, 2.0, 9.0])
-        idx, fb = select_next(FakeState("safe-ucb", safe, bounds))
+        none = np.zeros(4, bool)
+        idx, fb = select_next("safe-ucb", safe, bounds, none, none)
         assert (idx, fb) == (1, False)
 
     def test_width_tie_breaks_to_lowest_index(self):
         safe = np.ones(3, bool)
         bounds = fake_bounds([0.0, 0.0, 0.0], [1.0, 1.0, 0.5])
         m = np.array([True, True, False])
-        idx, fb = select_next(FakeState("safeopt", safe, bounds, m_mask=m))
+        idx, fb = select_next("safeopt", safe, bounds, m, np.zeros(3, bool))
         assert (idx, fb) == (0, False)
 
     def test_singleton_safe_set(self):
         safe = np.array([False, True])
         bounds = fake_bounds([np.nan, 0.0], [np.nan, 1.0])
         m = np.array([False, True])
-        idx, _ = select_next(FakeState("safeopt", safe, bounds, m_mask=m))
+        none = np.zeros(2, bool)
+        idx, _ = select_next("safeopt", safe, bounds, m, none)
         assert idx == 1
-        idx, _ = select_next(FakeState("msafe-ucb", safe, bounds))
+        idx, _ = select_next("msafe-ucb", safe, bounds, none, none)
         assert idx == 1
 
     def test_fallback_when_both_sets_empty(self):
         safe = np.array([True, True, False])
         bounds = fake_bounds([0.0, -1.0, np.nan], [0.5, 1.0, np.nan])
-        idx, fb = select_next(FakeState("msafeopt", safe, bounds))
+        none = np.zeros(3, bool)
+        idx, fb = select_next("msafeopt", safe, bounds, none, none)
         assert fb is True
         assert idx == 1  # widest over the safe set
 
     def test_empty_safe_set_raises(self):
+        none = np.zeros(3, bool)
         with pytest.raises(StalledAlgorithmError):
-            select_next(FakeState("safeopt", np.zeros(3, bool), fake_bounds([0.0] * 3)))
+            select_next("safeopt", none, fake_bounds([0.0] * 3), none, none)
 
 
 # ---------------------------------------------------------------------------
@@ -496,57 +490,82 @@ class TestIncrementalGridPosterior:
     @pytest.mark.parametrize("variant", ["safeopt", "safe-ucb", "msafeopt", "msafe-ucb"])
     def test_matches_a_full_refit_after_every_step(self, variant):
         # The Lipschitz variants' safe set stays at the seeds at the 90th
-        # percentile and grows at the 50th, where the bounds of added
-        # members are checked too.
+        # percentile and grows at the 50th, where the posterior at added
+        # points is checked too. They track every point ever safe, in the
+        # order first tracked, and keep its V column in the next slot.
         percentile = 50.0 if variant in ("safeopt", "safe-ucb") else 90.0
         problem = small_sphere_problem(budget=25, percentile=percentile)
         oracle, seed_obs = primed(problem)
         opt = SafeGpOptimizer(variant, problem, seed_obs)
-        grown = False
+        safe_grown = tracked_grown = False
+        ever_safe = opt.safe_mask.copy()
         while oracle.running:
+            n_tracked = problem.grid.points[opt._track].shape[0]
             opt.step(oracle)
             model = opt.model
             refit = gp_fit(model.kernel, model.noise_variance, model.train_points,
                            model.train_targets)
-            # The Lipschitz variants hold bounds at the safe members only.
             safe = opt.safe_mask
-            grown |= safe.sum() > len(seed_obs)
+            safe_grown |= safe.sum() > len(seed_obs)
+            ever_safe |= safe
             mean, std = gp_posterior(refit, problem.grid.points[safe])
             np.testing.assert_allclose(opt._bounds.lower[safe], mean - opt.beta * std,
                                        atol=1e-10)
             np.testing.assert_allclose(opt._bounds.upper[safe], mean + opt.beta * std,
                                        atol=1e-10)
+            tracked = problem.grid.points[opt._track]
+            tracked_grown |= tracked.shape[0] > n_tracked
             if opt.uses_lipschitz:
-                continue
-            mean, std, v = posterior_detail(refit, problem.grid.points)
+                np.testing.assert_array_equal(np.sort(opt._track), np.flatnonzero(ever_safe))
+            else:
+                assert tracked.shape[0] == problem.grid.n_points
+            mean, std, v = posterior_detail(refit, tracked)
             np.testing.assert_allclose(opt._mean, mean, atol=1e-10)
             np.testing.assert_allclose(opt._std, std, atol=1e-10)
-            np.testing.assert_allclose(opt._v_grid, v, atol=1e-10)
-        assert grown
+            np.testing.assert_allclose(opt._v_buffer[:model.n_train, :v.shape[1]], v,
+                                       atol=1e-10)
+        assert safe_grown
+        assert tracked_grown == opt.uses_lipschitz
         diags = opt.diagnostics
         assert len(diags) == 20
         assert [d["gp_refactored"] for d in diags] == [True] + [False] * 19
         assert all(d["gp_jitter"] == 0.0 for d in diags)
 
-    def test_reevaluated_noiseless_point_forces_a_refactorization(self):
-        # One seed just above the threshold: only it is safe after the
-        # first step, so the optimizer evaluates it again. The duplicate
-        # row has d^2 = 4 - (4 / 2)^2 = 0 exactly, the extension breaks
-        # down and the jitter ladder takes over.
+    @pytest.mark.parametrize("variant", ["msafe-ucb", "safe-ucb"])
+    def test_reevaluated_noiseless_point_forces_a_refactorization(self, variant):
+        # One seed just above the threshold and one far below it in the
+        # grid's far corner: only the first is certified after the first
+        # step, so the optimizer evaluates it again. The duplicate row has
+        # d^2 = 4 - (4 / 2)^2 - 0^2 = 0 exactly (the far seed's entry of l
+        # cancels), the extension breaks down and the jitter ladder takes
+        # over. safe-ucb still tracks the low seed after it left the safe
+        # set, so each full re-solve covers a point outside it.
         problem = small_sphere_problem(noise=0.0)
-        i = int(np.flatnonzero(problem.grid.values >= problem.threshold)[0])
-        x = tuple(problem.grid.points[i])
-        seed = Observation(point=x, y=problem.threshold + 1e-3,
-                           f_true=problem.grid.values[i], is_unsafe=False, step_index=1)
-        opt = SafeGpOptimizer("msafe-ucb", problem, [seed])
+        grid = problem.grid
+        i = int(np.flatnonzero(grid.values >= problem.threshold)[0])
+        j = grid.n_points - 1
+        seeds = [
+            Observation(point=tuple(grid.points[k]), y=problem.threshold + dy,
+                        f_true=grid.values[k], is_unsafe=dy < 0, step_index=s)
+            for s, (k, dy) in enumerate([(i, 1e-3), (j, -50.0)], start=1)
+        ]
+        opt = SafeGpOptimizer(variant, problem, seeds)
         oracle = Oracle(problem, np.random.default_rng(0))
         for _ in range(3):
             opt.step(oracle)
+            model = opt.model
+            refit = gp_fit(model.kernel, model.noise_variance, model.train_points,
+                           model.train_targets)
+            mean, std, _ = posterior_detail(refit, grid.points[opt._track])
+            np.testing.assert_allclose(opt._mean, mean, atol=1e-10)
+            np.testing.assert_allclose(opt._std, std, atol=1e-10)
         first, second, third = opt.diagnostics
         assert first["chosen_index"] == i
         assert (first["gp_refactored"], first["gp_jitter"]) == (True, 0.0)
         assert second["gp_refactored"] and second["gp_jitter"] > 0.0
         assert third["gp_refactored"]  # a jittered factor is never extended
+        if opt.uses_lipschitz:
+            assert not opt.safe_mask[j] and j in opt._track
 
 
 class TestLipschitzExpanderCache:
