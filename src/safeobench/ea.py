@@ -12,7 +12,11 @@ point, so duplicates share one fitness value.
 Bookkeeping costs O(1) per evaluation: :class:`EvalHistory` caches each
 point's mean when an observation arrives and keeps the distinct points
 in a growing float64 buffer for the VA nearest-neighbour scan, and the
-optimizer builds its box bounds array once.
+optimizer builds its box bounds array once. The variation operators and
+the VA scan call numpy's ufuncs directly and write into arrays they own,
+which keeps the fixed cost of each evaluation low. They stay numpy
+arithmetic: Python's ``min``/``max`` would differ from numpy's ``clip``
+in the sign of a zero.
 """
 
 from __future__ import annotations
@@ -67,10 +71,13 @@ class EvalHistory:
 
     Keyed by exact coordinate tuple. Supports the averaging scheme and
     nearest-neighbor safety lookups for VA, each at O(1) bookkeeping per
-    evaluation: ``record`` refreshes the point's cached mean (the same
-    ``np.mean`` over all of its values, so ``mean_at`` is a dict lookup)
-    together with its latest safety flag, and appends a new point to a
-    float64 buffer, doubled when full, that ``nearest`` scans in place.
+    evaluation: ``record`` refreshes the point's cached mean together with
+    its latest safety flag, so ``mean_at`` is a dict lookup, and appends a
+    new point to a float64 buffer, doubled when full, that ``nearest``
+    scans in place. The mean is ``np.mean`` over the point's values once
+    it has several; a first value ``y`` is stored as ``y + 0.0``, which is
+    what ``np.mean([y])`` returns (its sum starts from 0.0, so -0.0 comes
+    out as 0.0).
     """
 
     _INITIAL_CAPACITY = 64
@@ -89,14 +96,15 @@ class EvalHistory:
         return tuple(point) in self._data
 
     def record(self, obs: Observation) -> None:
-        entry = self._data.get(obs.point)
+        point, y = obs.point, obs.y
+        entry = self._data.get(point)
         if entry is None:
-            self._append_point(obs.point)
-            ys = [obs.y]
+            self._append_point(point)
+            self._data[point] = ([y], float(y) + 0.0, obs.is_unsafe)
         else:
             ys = entry[0]
-            ys.append(obs.y)
-        self._data[obs.point] = (ys, float(np.mean(ys)), obs.is_unsafe)
+            ys.append(y)
+            self._data[point] = (ys, float(np.mean(ys)), obs.is_unsafe)
 
     def _append_point(self, point: tuple[float, ...]) -> None:
         n = len(self._order)
@@ -126,10 +134,13 @@ class EvalHistory:
         """
         if not self._order:
             raise RuntimeError("history is empty")
-        pts = self._points[: len(self._order)]
-        cand = np.asarray(candidate, dtype=float)
-        dist = np.sqrt(np.sum(np.square(pts - cand), axis=1))
-        return self._order[int(np.argmin(dist))]
+        dist = self._points[: len(self._order)] - np.asarray(candidate, dtype=float)
+        np.square(dist, out=dist)
+        dist = dist.sum(axis=1)
+        # sqrt before argmin: distinct squared distances can round to equal
+        # distances, and the tie then goes to the earlier point.
+        np.sqrt(dist, out=dist)
+        return self._order[dist.argmin()]
 
 
 def binary_tournament(pop: Sequence[Individual], rng: np.random.Generator) -> Individual:
@@ -153,11 +164,10 @@ def uniform_crossover(
     p2 = np.asarray(p2, dtype=float)
     if p1.shape != p2.shape:
         raise ValueError("parents must have equal dimension")
-    c1, c2 = p1.copy(), p2.copy()
     if rng.random() < crossover_prob:
         swap = rng.random(p1.size) < 0.5
-        c1[swap], c2[swap] = p2[swap], p1[swap]
-    return c1, c2
+        return np.where(swap, p2, p1), np.where(swap, p1, p2)
+    return p1.copy(), p2.copy()
 
 
 def gaussian_mutation(
@@ -176,9 +186,12 @@ def gaussian_mutation(
     x = np.asarray(x, dtype=float)
     mask = rng.random(x.size) < mutation_prob
     noise = rng.normal(mutation_mean, mutation_std, size=x.size)
-    out = np.where(mask, x + noise, x)
+    out = x.copy()
+    np.add(x, noise, out=out, where=mask)
     bounds = np.asarray(bounds, dtype=float)
-    return np.clip(out, bounds[:, 0], bounds[:, 1])
+    # At a zero bound numpy's clip returns the bound's sign of zero, where
+    # Python's min/max would return x's.
+    return out.clip(bounds[:, 0], bounds[:, 1], out=out)
 
 
 def va_filter(candidate, history: EvalHistory) -> bool:

@@ -15,7 +15,6 @@ an entry in a benchmark-level JSON manifest.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import logging
@@ -494,41 +493,50 @@ def run_csv_name(algorithm: str, run_index: int) -> str:
 
 
 def write_run_csv(result: RunResult, path) -> None:
+    """Write a run's records as CSV: one header row, then one row per step.
+
+    The bytes are those of the ``csv`` module's default dialect: ``\\r\\n``
+    line ends and no quoting, which none of the fields (``repr`` floats,
+    integers, ``0``/``1`` flags) ever needs.
+    """
     dim = len(result.records[0].point) if result.records else 0
     header = (
         ["step"]
         + [f"x{i + 1}" for i in range(dim)]
         + ["y", "f_true", "is_unsafe", "bsf_true"]
     )
+    lines = [",".join(header)]
+    for r in result.records:
+        lines.append(
+            f"{r.step},{','.join(map(_fmt, r.point))},{_fmt(r.y)},"
+            f"{_fmt(r.f_true)},{1 if r.is_unsafe else 0},{_fmt(r.bsf_true)}"
+        )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in result.records:
-            writer.writerow(
-                [r.step]
-                + [_fmt(c) for c in r.point]
-                + [_fmt(r.y), _fmt(r.f_true), int(r.is_unsafe), _fmt(r.bsf_true)]
-            )
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def load_run_csv(path, algorithm: str, run_index: int) -> RunResult:
-    """Rebuild a RunResult (records only) from its persisted CSV."""
+    """Rebuild a RunResult (records only) from its persisted CSV.
+
+    Accepts ``\\r\\n`` and ``\\n`` line ends.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ConfigError(f"{path} is empty; a run CSV starts with its header row")
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 5
-        for row in reader:
-            records.append(
-                StepRecord(
-                    step=int(row[0]),
-                    point=tuple(float(c) for c in row[1 : 1 + dim]),
-                    y=float(row[1 + dim]),
-                    f_true=float(row[2 + dim]),
-                    is_unsafe=bool(int(row[3 + dim])),
-                    bsf_true=float(row[4 + dim]),
-                )
+    for line in lines[1:]:
+        row = line.split(",")  # step, x1..xd, y, f_true, is_unsafe, bsf_true
+        records.append(
+            StepRecord(
+                step=int(row[0]),
+                point=tuple(map(float, row[1:-4])),
+                y=float(row[-4]),
+                f_true=float(row[-3]),
+                is_unsafe=bool(int(row[-2])),
+                bsf_true=float(row[-1]),
             )
+        )
     return RunResult(
         algorithm=algorithm, run_index=run_index, records=records, termination=""
     )

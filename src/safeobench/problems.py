@@ -54,7 +54,11 @@ class Objective:
     bounds : tuple of (lo, hi)
         Closed per-axis interval; one pair per dimension.
     fn : callable
-        Scalar evaluation, maps a 1-D coordinate array to a float.
+        Scalar evaluation, maps a 1-D float array of length ``dimension``
+        to a float. It does no checking of its own: :meth:`eval` is the
+        public checked path, and :class:`~safeobench.safeop.Oracle` calls
+        ``fn`` directly only after :meth:`contains` has accepted the
+        point, which rules out a wrong length and non-finite coordinates.
     batch_fn : callable
         Vectorized evaluation over an (n, d) array, returns shape (n,).
         Must agree with ``fn`` elementwise.
@@ -109,7 +113,10 @@ class Objective:
         """
         if len(x) != self.dimension:
             return False
-        return all(lo <= float(c) <= hi for c, (lo, hi) in zip(x, self.bounds))
+        for c, (lo, hi) in zip(x, self.bounds):
+            if not lo <= float(c) <= hi:
+                return False
+        return True
 
 
 def sphere_eval(x: np.ndarray) -> float:
@@ -117,8 +124,7 @@ def sphere_eval(x: np.ndarray) -> float:
 
     f(x) = -||x||^2 with the Euclidean norm.
     """
-    x = np.asarray(x, dtype=float)
-    return -float(np.sum(np.square(x)))
+    return -float(np.square(np.asarray(x, dtype=float)).sum())
 
 
 def _sphere_batch(xs: np.ndarray) -> np.ndarray:
@@ -133,7 +139,9 @@ def styblinski_tang_eval(x: np.ndarray) -> float:
     (-2.903534, ..., -2.903534).
     """
     x = np.asarray(x, dtype=float)
-    return -0.5 * float(np.sum(x**4 - 16.0 * x**2 + 5.0 * x))
+    # numpy, not Python floats: numpy's float64 power can differ from
+    # Python's ** in the last bit, which would change recorded outputs.
+    return -0.5 * float((x**4 - 16.0 * x**2 + 5.0 * x).sum())
 
 
 def _styblinski_batch(xs: np.ndarray) -> np.ndarray:

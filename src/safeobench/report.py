@@ -9,6 +9,7 @@ minimal markup so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -166,9 +167,9 @@ def emit_trajectory_csv(results: dict[tuple[str, int], RunResult], path) -> None
     )
     lines = [header]
     for algo, i in keys:
+        prefix = f"{algo},{i},"
         for rec in results[(algo, i)].records:
-            coords = ",".join(_fmt(c) for c in rec.point)
-            lines.append(f"{algo},{i},{rec.step},{coords}")
+            lines.append(f"{prefix}{rec.step},{','.join(map(_fmt, rec.point))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -194,9 +195,19 @@ def _coord(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _widen(lo: float) -> float:
+    """Upper end for a flat range at ``lo``.
+
+    ``lo + 1``, unless 1 is below the float spacing at ``lo`` (|lo| past
+    about 1e16, where ``lo + 1 == lo``); then the next float above ``lo``.
+    """
+    hi = lo + 1.0
+    return hi if hi > lo else math.nextafter(lo, math.inf)
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
-        hi = lo + 1.0
+        hi = _widen(lo)
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -258,7 +269,7 @@ def emit_bsf_svg(aggregates: dict[str, AggregateSeries], path) -> None:
     ylo = min(float((a.mean - a.se).min()) for a in aggregates.values())
     yhi = max(float((a.mean + a.se).max()) for a in aggregates.values())
     if yhi <= ylo:
-        yhi = ylo + 1.0
+        yhi = _widen(ylo)
     span = yhi - ylo
     ylo -= 0.05 * span
     yhi += 0.05 * span

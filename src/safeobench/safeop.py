@@ -322,13 +322,17 @@ class Oracle:
             raise TerminatedRunError(
                 f"run already terminated ({self.termination.value})"
             )
-        point = tuple(float(c) for c in x)
-        if not self.problem.objective.contains(point):
+        problem = self.problem
+        objective = problem.objective
+        point = tuple(map(float, x))
+        # contains() rejects a wrong dimension and non-finite coordinates,
+        # the checks Objective.eval would repeat.
+        if not objective.contains(point):
             raise ValueError(f"point {point} outside the box domain")
-        f = self.problem.objective.eval(point)
-        eps = float(self.rng.normal(0.0, self.problem.noise_std))
+        f = float(objective.fn(np.array(point)))
+        eps = float(self.rng.normal(0.0, problem.noise_std))
         y = f + eps
-        unsafe = y < self.problem.threshold
+        unsafe = y < problem.threshold
         obs = Observation(
             point=point,
             y=y,
@@ -340,7 +344,7 @@ class Oracle:
         self.evals_used += 1
         if unsafe:
             self.unsafe_used += 1
-        budget = self.problem.safety_budget
+        budget = problem.safety_budget
         if unsafe and budget is not None and self.unsafe_used > budget:
             self.termination = TerminationReason.SAFETY_EXHAUSTED
         elif self.evals_used >= self.effective_budget:

@@ -17,7 +17,14 @@ from safeobench.ea import (
     va_filter,
 )
 from safeobench.problems import make_objective
-from safeobench.safeop import Observation, Oracle, make_problem, sample_safe_seeds
+from safeobench.safeop import (
+    Observation,
+    Oracle,
+    TerminatedRunError,
+    TerminationReason,
+    make_problem,
+    sample_safe_seeds,
+)
 
 
 class ScriptRng:
@@ -238,6 +245,12 @@ class TestEvalHistory:
                 assert h.mean_at(p) == float(np.mean(values))
         assert h.mean_at((9.0, 9.0)) == 100.0
         assert len(h) == 2
+
+    @pytest.mark.parametrize("y", [-0.0, 0.0, 5e-324, -1.5, 1e308])
+    def test_first_value_mean_has_numpy_mean_bits(self, y):
+        h = EvalHistory()
+        h.record(obs((1.0, 2.0), y))
+        assert repr(h.mean_at((1.0, 2.0))) == repr(float(np.mean([y])))
 
     def test_last_unsafe_follows_latest_record(self):
         h = EvalHistory()
@@ -531,3 +544,156 @@ class TestReferenceHistory:
         assert oracle.unsafe_used > 0
         assert any(d["forced_accepts"] for d in opt.diagnostics)
         assert len(opt.history) < len(oracle.log)
+
+
+# Reference implementations of the oracle step and the variation operators:
+# each numpy call made plainly, the objective reached through the checked
+# Objective.eval. The optimized paths must reproduce them bit for bit.
+
+
+def naive_evaluate(self, x):
+    if not self.running:
+        raise TerminatedRunError(f"run already terminated ({self.termination.value})")
+    point = tuple(float(c) for c in x)
+    if not self.problem.objective.contains(point):
+        raise ValueError(f"point {point} outside the box domain")
+    f = self.problem.objective.eval(point)
+    eps = float(self.rng.normal(0.0, self.problem.noise_std))
+    y = f + eps
+    unsafe = y < self.problem.threshold
+    o = Observation(point=point, y=y, f_true=f, is_unsafe=unsafe, step_index=len(self.log) + 1)
+    self.log.append(o)
+    self.evals_used += 1
+    if unsafe:
+        self.unsafe_used += 1
+    budget = self.problem.safety_budget
+    if unsafe and budget is not None and self.unsafe_used > budget:
+        self.termination = TerminationReason.SAFETY_EXHAUSTED
+    elif self.evals_used >= self.effective_budget:
+        self.termination = TerminationReason.BUDGET_EXHAUSTED
+    return o
+
+
+def naive_uniform_crossover(p1, p2, crossover_prob, rng):
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if p1.shape != p2.shape:
+        raise ValueError("parents must have equal dimension")
+    c1, c2 = p1.copy(), p2.copy()
+    if rng.random() < crossover_prob:
+        swap = rng.random(p1.size) < 0.5
+        c1[swap], c2[swap] = p2[swap], p1[swap]
+    return c1, c2
+
+
+def naive_gaussian_mutation(x, mutation_prob, mutation_std, bounds, rng, mutation_mean=0.0):
+    x = np.asarray(x, dtype=float)
+    mask = rng.random(x.size) < mutation_prob
+    noise = rng.normal(mutation_mean, mutation_std, size=x.size)
+    out = np.where(mask, x + noise, x)
+    bounds = np.asarray(bounds, dtype=float)
+    return np.clip(out, bounds[:, 0], bounds[:, 1])
+
+
+NAIVE_OBJECTIVES = {
+    "sphere": lambda x: -float(np.sum(np.square(x))),
+    "styblinski-tang": lambda x: -0.5 * float(np.sum(x**4 - 16.0 * x**2 + 5.0 * x)),
+}
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestReferenceOracleAndVariation:
+    """The oracle and the variation operators against the references above.
+
+    ``repr`` of the log, the population and the diagnostics tells -0.0
+    from 0.0, which ``==`` does not.
+    """
+
+    def run_ea(self, problem, va, monkeypatch, naive):
+        oracle = Oracle(problem, np.random.default_rng(41))
+        seeds = sample_safe_seeds(problem, 10, np.random.default_rng(42))
+        with monkeypatch.context() as m:
+            if naive:
+                m.setattr(Oracle, "evaluate", naive_evaluate)
+                m.setattr(ea_module, "uniform_crossover", naive_uniform_crossover)
+                m.setattr(ea_module, "gaussian_mutation", naive_gaussian_mutation)
+                m.setattr(ea_module, "EvalHistory", NaiveEvalHistory)
+            seed_obs = oracle.prime(seeds)
+            opt = EaOptimizer(
+                problem,
+                seed_obs,
+                np.random.default_rng(43),
+                params=EaParams(mu=10, lam=10, mutation_std=1.0, retry_cap=3),
+                va_enabled=va,
+            )
+            while oracle.running:
+                opt.step(oracle)
+        return oracle, opt
+
+    def assert_same_run(self, problem, va, monkeypatch):
+        ref_oracle, ref = self.run_ea(problem, va, monkeypatch, naive=True)
+        oracle, opt = self.run_ea(problem, va, monkeypatch, naive=False)
+        assert isinstance(ref.history, NaiveEvalHistory)
+        assert isinstance(opt.history, EvalHistory)
+        assert repr(oracle.log) == repr(ref_oracle.log)
+        assert repr(opt.population) == repr(ref.population)
+        assert repr(opt.diagnostics) == repr(ref.diagnostics)
+        return oracle, opt
+
+    @pytest.mark.parametrize("va", [True, False], ids=["va-ea", "unsafe-ea"])
+    def test_styblinski_with_noise(self, va, monkeypatch):
+        problem = make_problem(
+            make_objective("styblinski-tang"),
+            nodes_per_axis=100,
+            percentile=95.0,
+            noise_std=0.1,
+            eval_budget=300,
+        )
+        oracle, opt = self.assert_same_run(problem, va, monkeypatch)
+        assert oracle.unsafe_used > 0
+        if va:
+            assert any(d["forced_accepts"] for d in opt.diagnostics)
+
+    @pytest.mark.parametrize("va", [True, False], ids=["va-ea", "unsafe-ea"])
+    def test_zero_bounds_give_signed_zeros(self, va, monkeypatch):
+        # The first grid node on axis 1 is +0.0, and seeds sit there; numpy's
+        # clip returns the bound -0.0 for it, as for every negative value.
+        objective = make_objective("sphere", bounds=[(-0.0, 3.0), (-3.0, 0.0)])
+        problem = make_problem(
+            objective, nodes_per_axis=6, percentile=50.0, noise_std=0.1, eval_budget=300
+        )
+        oracle, _ = self.assert_same_run(problem, va, monkeypatch)
+        zeros = {repr(o.point[0]) for o in oracle.log if o.point[0] == 0.0}
+        assert zeros == {"0.0", "-0.0"}
+
+    @pytest.mark.parametrize("va", [True, False], ids=["va-ea", "unsafe-ea"])
+    def test_noise_free_reevaluations(self, va, monkeypatch):
+        problem = make_problem(
+            make_objective("styblinski-tang"),
+            nodes_per_axis=30,
+            percentile=60.0,
+            noise_std=0.0,
+            eval_budget=300,
+        )
+        oracle, opt = self.assert_same_run(problem, va, monkeypatch)
+        assert len(opt.history) < len(oracle.log)
+
+    @pytest.mark.parametrize("name", sorted(NAIVE_OBJECTIVES))
+    def test_oracle_f_true_has_objective_eval_bits(self, name):
+        objective = make_objective(name)
+        rng = np.random.default_rng(5)
+        corners = [(lo, hi) for lo in (-5.0, 5.0) for hi in (-5.0, 5.0)]
+        zeros = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, 5.0)]
+        points = [tuple(p) for p in rng.uniform(-5.0, 5.0, size=(300, 2))] + corners + zeros
+        problem = make_problem(
+            objective, nodes_per_axis=5, percentile=50.0, noise_std=0.1,
+            eval_budget=len(points),
+        )
+        oracle = Oracle(problem, np.random.default_rng(6))
+        f_true = [oracle.evaluate(p).f_true for p in points]
+        expected = [objective.eval(p) for p in points]
+        naive = [NAIVE_OBJECTIVES[name](np.asarray(p, dtype=float)) for p in points]
+        assert float_bits(f_true) == float_bits(expected) == float_bits(naive)

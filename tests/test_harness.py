@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -237,6 +238,77 @@ class TestPersistence:
         header = path.read_text().splitlines()[0]
         assert header == "step,x1,x2,y,f_true,is_unsafe,bsf_true"
 
+    @staticmethod
+    def csv_module_writer(result, path):
+        """Reference writer: one ``csv.writer`` row per record."""
+        dim = len(result.records[0].point) if result.records else 0
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["step"] + [f"x{i + 1}" for i in range(dim)]
+                + ["y", "f_true", "is_unsafe", "bsf_true"]
+            )
+            for r in result.records:
+                writer.writerow(
+                    [r.step] + [repr(float(c)) for c in r.point]
+                    + [repr(float(r.y)), repr(float(r.f_true)), int(r.is_unsafe),
+                       repr(float(r.bsf_true))]
+                )
+
+    EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e16, -2.5e-7,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, -3.0)
+
+    @classmethod
+    def edge_result(cls, dim, n_records):
+        values = cls.EDGE_VALUES
+        records = [
+            StepRecord(
+                step=t + 1,
+                point=tuple(values[(t + k) % len(values)] for k in range(dim)),
+                y=values[(t + 3) % len(values)],
+                f_true=values[(t + 5) % len(values)],
+                is_unsafe=t % 3 == 1,
+                bsf_true=values[(t + 7) % len(values)],
+            )
+            for t in range(n_records)
+        ]
+        return RunResult("va-ea", 0, records, "budget_exhausted")
+
+    @pytest.mark.parametrize("dim,n_records", [(1, 12), (2, 10), (3, 25), (2, 0)])
+    def test_writer_bytes_equal_csv_module(self, dim, n_records, tmp_path):
+        result = self.edge_result(dim, n_records)
+        write_run_csv(result, tmp_path / "new.csv")
+        self.csv_module_writer(result, tmp_path / "ref.csv")
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        assert data.count(b"\r\n") == n_records + 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_reader_round_trips_bit_patterns(self, dim, tmp_path):
+        result = self.edge_result(dim, 30)
+        write_run_csv(result, tmp_path / "r.csv")
+        loaded = load_run_csv(tmp_path / "r.csv", "va-ea", 0)
+        # repr tells -0.0 from 0.0; == does not
+        assert repr(loaded.records) == repr(result.records)
+
+    def test_reader_accepts_newline_only_line_ends(self, tmp_path):
+        result = self.edge_result(2, 10)
+        write_run_csv(result, tmp_path / "crlf.csv")
+        lf = (tmp_path / "crlf.csv").read_bytes().replace(b"\r\n", b"\n")
+        assert b"\r" not in lf
+        (tmp_path / "lf.csv").write_bytes(lf)
+        loaded = load_run_csv(tmp_path / "lf.csv", "va-ea", 0)
+        assert repr(loaded.records) == repr(result.records)
+
+    def test_reader_reads_header_only_file(self, tmp_path):
+        write_run_csv(self.edge_result(2, 0), tmp_path / "r.csv")
+        assert load_run_csv(tmp_path / "r.csv", "va-ea", 0).records == []
+
+    def test_reader_rejects_empty_file(self, tmp_path):
+        (tmp_path / "r.csv").write_bytes(b"")
+        with pytest.raises(ConfigError, match="empty"):
+            load_run_csv(tmp_path / "r.csv", "va-ea", 0)
+
     def test_save_and_load_benchmark(self, fast_cfg, tmp_path):
         plan = make_plan(fast_cfg, ["va-ea"], 2)
         results = benchmark(plan)
@@ -346,6 +418,24 @@ class TestCli:
             )
             assert rc == 0
             assert (tmp_path / name).exists()
+
+    def test_bsf_svg_of_a_flat_range_past_1e16(self, tmp_path, capsys):
+        # objective values near -9e15 and every algorithm's mean BSF +- SE
+        # on one value: widening that range by 1.0 is a no-op
+        import xml.etree.ElementTree as ET
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": {
+            "objective": "styblinski-tang", "bounds": [[-21, 0], [-11587, -11586]],
+            "nodes_per_axis": 6, "eval_budget": 8, "n_seeds": 2, "noise_std": 0.0,
+            "master_seed": 0,
+        }}))
+        outdir = str(tmp_path / "bench")
+        assert cli.main(["benchmark", str(path), "--runs", "1", "--out", outdir]) == 0
+        svg = tmp_path / "bsf.svg"
+        args = ["report", outdir, "--metric", "bsf", "--format", "svg", "--out", str(svg)]
+        assert cli.main(args) == 0
+        assert ET.fromstring(svg.read_text()).tag.endswith("svg")
 
     def test_report_pads_runs_whose_seeds_are_free(self, tmp_path, capsys):
         # with seeds outside the budget a run holds eval_budget + n_seeds records

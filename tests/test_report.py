@@ -3,6 +3,7 @@ import pytest
 
 from safeobench.harness import RunResult, StepRecord
 from safeobench.report import (
+    _widen,
     aggregate_bsf,
     emit_bsf_csv,
     emit_bsf_svg,
@@ -164,3 +165,22 @@ class TestEmission:
         path = tmp_path / "b.svg"
         emit_bsf_svg(self._aggregates(), path)
         ET.fromstring(path.read_text())
+
+
+class TestFlatRange:
+    @pytest.mark.parametrize("lo", [0.0, -3.5, 1e15, -4e15, 2.0**53 - 1.0])
+    def test_widened_by_one_where_one_is_representable(self, lo):
+        assert _widen(lo) == lo + 1.0
+
+    @pytest.mark.parametrize("lo", [2.0**53, 1.8e16, -1.8e16, 1e300])
+    def test_widened_past_the_float_spacing(self, lo):
+        assert lo + 1.0 == lo
+        assert _widen(lo) > lo
+
+    def test_flat_bsf_svg_past_1e16(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        results = [make_result([-9.0e15] * 4, idx=i) for i in range(3)]
+        path = tmp_path / "b.svg"
+        emit_bsf_svg({"a": aggregate_bsf(results, 4)}, path)
+        assert ET.fromstring(path.read_text()).tag.endswith("svg")
