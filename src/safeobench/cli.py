@@ -3,7 +3,8 @@
 Subcommands: ``problem inspect``, ``run``, ``benchmark``, ``report``.
 Any config key can be overridden from the command line with repeated
 ``--set section.key=value`` flags. Exit codes: 0 success, 2 config
-error, 3 infeasible seed scenario, 4 numerical failure.
+error or malformed results directory, 3 infeasible seed scenario, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__, harness, report
 from .gp import FactorizationError
 from .problems import Scenario
-from .safeop import InfeasibleScenarioError
+from .safeop import InfeasibleScenarioError, seed_eligibility
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,20 +61,11 @@ def cmd_inspect(args) -> int:
     print(f"lipschitz L      : {problem.lipschitz:.6g}")
     print(f"noise std        : {problem.noise_std:g}")
     print(f"scenario         : {problem.scenario.value}")
-    margin = grid.values - problem.noise_std * problem.seed_confidence
-    eligible = margin >= problem.threshold
-    print(f"eligible seeds   : {int(eligible.sum())} grid points (any scenario region)")
+    safe, regions = seed_eligibility(problem)
+    print(f"eligible seeds   : {int(safe.sum())} grid points (any scenario region)")
     if problem.scenario is not Scenario.NONE:
-        from .problems import scenario_mask
-
-        regions = (
-            [Scenario.S2_TOP_LEFT, Scenario.S2_BOTTOM_RIGHT]
-            if problem.scenario is Scenario.S3
-            else [problem.scenario]
-        )
-        for region in regions:
-            n = int((eligible & scenario_mask(region, grid.points)).sum())
-            print(f"  in {region.value:<15}: {n}")
+        for region, eligible in regions:
+            print(f"  in {region.value:<15}: {int(eligible.sum())}")
     return EXIT_OK
 
 
@@ -83,12 +75,10 @@ def cmd_run(args) -> int:
         raise harness.ConfigError("--run-index must be >= 0")
     plan = harness.make_plan(cfg, [args.algo], args.run_index + 1)
     result = harness.run(plan, args.algo, args.run_index)
-    series = harness.unsafe_count_series(result)
     print(
         f"{args.algo} run {args.run_index}: {result.n_steps} evaluations, "
         f"termination={result.termination}, "
-        f"final BSF={result.records[-1].bsf_true:.6g}, "
-        f"unsafe={int(series[-1]) if result.n_steps else 0}"
+        f"final BSF={result.final_bsf:.6g}, unsafe={result.n_unsafe}"
     )
     if args.out:
         outdir = Path(args.out)

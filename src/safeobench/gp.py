@@ -1,11 +1,11 @@
 """Exact Gaussian-process regression with fixed hyperparameters.
 
-A deliberately small GP: isotropic squared-exponential kernel, constant
+A deliberately small GP: isotropic squared-exponential kernel, zero
 prior mean, known noise variance. The model's one weight vector is the
-whitened centered targets z = L^-1 (y - m0), and the posterior mean at Q
-is m0 + z.V with V = L^-1 k(X, Q). Hyperparameters never change, so a
-model that grows by one training point extends the previous Cholesky
-factor and z together by one row (O(n^2)) instead of refactoring; a full
+whitened targets z = L^-1 y, and the posterior mean at Q is z.V with
+V = L^-1 k(X, Q). Hyperparameters never change, so a model that grows
+by one training point extends the previous Cholesky factor and z
+together by one row (O(n^2)) instead of refactoring; a full
 factorization with the jitter ladder, then one triangular solve for z,
 runs only on the first fit and when the extension breaks down. Training
 sizes never exceed the evaluation budget (~100 points), so no
@@ -76,8 +76,8 @@ class GpModel:
     """Posterior state after fitting; treat as immutable.
 
     ``chol`` is the lower Cholesky factor L of K + noise_variance*I (with
-    any jitter that was needed) and ``z = L^-1 (y - prior_mean)`` holds the
-    whitened centered targets, the model's only weight vector.
+    any jitter that was needed) and ``z = L^-1 y`` holds the whitened
+    targets, the model's only weight vector.
     ``extended`` is true when ``chol`` and ``z`` came from appending one
     row to the previous model's rather than from a full factorization.
     Empty training sets are allowed; the posterior is then the prior
@@ -88,7 +88,6 @@ class GpModel:
     noise_variance: float
     train_points: np.ndarray
     train_targets: np.ndarray
-    prior_mean: float = 0.0
     chol: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
     jitter: float = 0.0
@@ -99,15 +98,15 @@ class GpModel:
         return self.train_points.shape[0]
 
 
-def _extended_fit(prev, kernel, noise_variance, points, targets, prior_mean):
+def _extended_fit(prev, kernel, noise_variance, points, targets):
     """``prev``'s Cholesky factor and ``z`` grown by the last training point.
 
-    Applies when ``prev`` is a jitter-free fit of the same kernel, noise
-    and prior mean on all but the last row. With l = L^-1 k(X, x) and
+    Applies when ``prev`` is a jitter-free fit of the same kernel and
+    noise on all but the last row. With l = L^-1 k(X, x) and
     d^2 = k(x, x) + noise - l.l, the grown factor is [[L, 0], [l^T, d]]
-    and z gains z_n = (y_n - prior_mean - l.z) / d. Returns None when
-    ``prev`` does not apply or d^2 <= 0, where the grown matrix is not
-    numerically positive definite.
+    and z gains z_n = (y_n - l.z) / d. Returns None when ``prev`` does
+    not apply or d^2 <= 0, where the grown matrix is not numerically
+    positive definite.
     """
     n = targets.size - 1
     if not (
@@ -116,7 +115,6 @@ def _extended_fit(prev, kernel, noise_variance, points, targets, prior_mean):
         and prev.jitter == 0.0
         and prev.kernel == kernel
         and prev.noise_variance == noise_variance
-        and prev.prior_mean == prior_mean
         and np.array_equal(prev.train_points, points[:-1])
         and np.array_equal(prev.train_targets, targets[:-1])
     ):
@@ -130,7 +128,7 @@ def _extended_fit(prev, kernel, noise_variance, points, targets, prior_mean):
     chol[:n, :n] = prev.chol
     chol[n, :n] = l
     chol[n, n] = d = np.sqrt(d2)
-    z_n = (targets[-1] - prior_mean - l @ prev.z) / d
+    z_n = (targets[-1] - l @ prev.z) / d
     return chol, np.append(prev.z, z_n)
 
 
@@ -139,14 +137,13 @@ def gp_fit(
     noise_variance: float,
     points,
     targets,
-    prior_mean: float = 0.0,
     prev: Optional[GpModel] = None,
 ) -> GpModel:
     """Fit an exact GP: build the Gram matrix and factorize it.
 
-    When ``prev`` is a jitter-free fit of the same kernel, noise and prior
-    mean on all but the last training point, its factor is extended by
-    one row (O(n^2)), ``z`` gains its last entry and the model is marked
+    When ``prev`` is a jitter-free fit of the same kernel and noise on
+    all but the last training point, its factor is extended by one row
+    (O(n^2)), ``z`` gains its last entry and the model is marked
     ``extended``. Otherwise, and when the extension breaks down, the full
     Gram matrix is factorized, escalating diagonal jitter from 1e-10 to
     1e-6 if the exact Cholesky fails (then :class:`FactorizationError` is
@@ -166,9 +163,9 @@ def gp_fit(
     if n and not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
     if n == 0:
-        return GpModel(kernel, noise_variance, points, targets, prior_mean)
+        return GpModel(kernel, noise_variance, points, targets)
 
-    grown = _extended_fit(prev, kernel, noise_variance, points, targets, prior_mean)
+    grown = _extended_fit(prev, kernel, noise_variance, points, targets)
     used = 0.0
     if grown is not None:
         chol, z = grown
@@ -189,13 +186,12 @@ def gp_fit(
                 f"Cholesky factorization failed for n={n} even with jitter "
                 f"{_JITTERS[-1]:g} (smallest jitter tried: {_JITTERS[1]:g})"
             )
-        z = solve_triangular(chol, targets - prior_mean, lower=True)
+        z = solve_triangular(chol, targets, lower=True)
     return GpModel(
         kernel=kernel,
         noise_variance=noise_variance,
         train_points=points,
         train_targets=targets,
-        prior_mean=prior_mean,
         chol=chol,
         z=z,
         jitter=used,
@@ -212,7 +208,7 @@ def gp_posterior(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     if model.n_train == 0:
         m = np.atleast_2d(np.asarray(queries, dtype=float)).shape[0]
         s = float(np.sqrt(model.kernel.signal_variance))
-        return np.full(m, model.prior_mean), np.full(m, s)
+        return np.zeros(m), np.full(m, s)
     mean, std, _ = posterior_detail(model, queries)
     return mean, std
 
@@ -230,7 +226,7 @@ def posterior_detail(model: GpModel, queries):
         raise ValueError("posterior_detail needs a non-empty training set")
     kq = kernel_matrix(model.kernel, model.train_points, queries)
     v = solve_triangular(model.chol, kq, lower=True, check_finite=False)
-    mean = model.prior_mean + model.z @ v
+    mean = model.z @ v
     var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
     np.clip(var, 0.0, None, out=var)
     return mean, np.sqrt(var), v

@@ -32,7 +32,7 @@ from . import __version__
 from .ea import EaOptimizer, EaParams
 from .gp import KernelSpec
 from .problems import Scenario, make_objective, validate_scenario
-from .safeop import Oracle, SafeOpProblem, make_problem, sample_safe_seeds
+from .safeop import Observation, Oracle, SafeOpProblem, make_problem, sample_safe_seeds
 from .safegp import LIPSCHITZ_VARIANTS, SafeGpOptimizer, StalledAlgorithmError
 from .safegp import VARIANTS as GP_VARIANTS
 
@@ -47,7 +47,6 @@ __all__ = [
     "make_seed_sets",
     "run",
     "benchmark",
-    "unsafe_count_series",
     "save_benchmark",
     "load_run_csv",
 ]
@@ -293,20 +292,12 @@ def make_seed_sets(
 
 
 @dataclass
-class StepRecord:
-    step: int
-    point: tuple[float, ...]
-    y: float
-    f_true: float
-    is_unsafe: bool
-    bsf_true: float
-
-
-@dataclass
 class RunResult:
+    """One run: its oracle's log of observations and how the run ended."""
+
     algorithm: str
     run_index: int
-    records: list[StepRecord]
+    records: list[Observation]
     termination: str
     diagnostics: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
@@ -316,19 +307,24 @@ class RunResult:
     def n_steps(self) -> int:
         return len(self.records)
 
+    @property
+    def final_bsf(self) -> Optional[float]:
+        """Best true value of the run, None for a run without records."""
+        return self.records[-1].bsf_true if self.records else None
+
+    @property
+    def n_unsafe(self) -> int:
+        """Number of unsafe evaluations in the run."""
+        return sum(r.is_unsafe for r in self.records)
+
     def bsf_series(self) -> np.ndarray:
         return np.array([r.bsf_true for r in self.records])
 
     def first_failure_step(self) -> Optional[int]:
         for r in self.records:
             if r.is_unsafe:
-                return r.step
+                return r.step_index
         return None
-
-
-def unsafe_count_series(result: RunResult) -> np.ndarray:
-    """Cumulative count of unsafe evaluations at each step."""
-    return np.cumsum([int(r.is_unsafe) for r in result.records])
 
 
 @dataclass
@@ -425,24 +421,10 @@ def run(plan: BenchmarkPlan, algorithm: str, run_index: int) -> RunResult:
         except StalledAlgorithmError:
             termination = TERMINATION_STALLED
         diagnostics = optimizer.diagnostics
-    records = []
-    bsf = -np.inf
-    for obs in oracle.log:
-        bsf = max(bsf, obs.f_true)
-        records.append(
-            StepRecord(
-                step=obs.step_index,
-                point=obs.point,
-                y=obs.y,
-                f_true=obs.f_true,
-                is_unsafe=obs.is_unsafe,
-                bsf_true=bsf,
-            )
-        )
     return RunResult(
         algorithm=algorithm,
         run_index=run_index,
-        records=records,
+        records=oracle.log,
         termination=termination,
         diagnostics=diagnostics,
         wall_time=time.perf_counter() - t0,
@@ -492,6 +474,11 @@ def run_csv_name(algorithm: str, run_index: int) -> str:
     return f"{algorithm}_run{run_index}.csv"
 
 
+def _csv_header(dim: int) -> str:
+    coords = "".join(f"x{i + 1}," for i in range(dim))
+    return f"step,{coords}y,f_true,is_unsafe,bsf_true"
+
+
 def write_run_csv(result: RunResult, path) -> None:
     """Write a run's records as CSV: one header row, then one row per step.
 
@@ -500,15 +487,10 @@ def write_run_csv(result: RunResult, path) -> None:
     integers, ``0``/``1`` flags) ever needs.
     """
     dim = len(result.records[0].point) if result.records else 0
-    header = (
-        ["step"]
-        + [f"x{i + 1}" for i in range(dim)]
-        + ["y", "f_true", "is_unsafe", "bsf_true"]
-    )
-    lines = [",".join(header)]
+    lines = [_csv_header(dim)]
     for r in result.records:
         lines.append(
-            f"{r.step},{','.join(map(_fmt, r.point))},{_fmt(r.y)},"
+            f"{r.step_index},{','.join(map(_fmt, r.point))},{_fmt(r.y)},"
             f"{_fmt(r.f_true)},{1 if r.is_unsafe else 0},{_fmt(r.bsf_true)}"
         )
     with open(path, "w", newline="") as fh:
@@ -518,25 +500,35 @@ def write_run_csv(result: RunResult, path) -> None:
 def load_run_csv(path, algorithm: str, run_index: int) -> RunResult:
     """Rebuild a RunResult (records only) from its persisted CSV.
 
-    Accepts ``\\r\\n`` and ``\\n`` line ends.
+    Accepts ``\\r\\n`` and ``\\n`` line ends. Raises :class:`ConfigError`
+    for a file that is empty, has a header other than the writer's, or
+    has a row of the wrong width or with a field that does not parse.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ConfigError(f"{path} is empty; a run CSV starts with its header row")
+    width = lines[0].count(",") + 1
+    if lines[0] != _csv_header(width - 5):
+        raise ConfigError(f"{path} has no run CSV header: {lines[0]!r}")
     records = []
-    for line in lines[1:]:
-        row = line.split(",")  # step, x1..xd, y, f_true, is_unsafe, bsf_true
-        records.append(
-            StepRecord(
-                step=int(row[0]),
-                point=tuple(map(float, row[1:-4])),
-                y=float(row[-4]),
-                f_true=float(row[-3]),
-                is_unsafe=bool(int(row[-2])),
-                bsf_true=float(row[-1]),
+    try:
+        for line in lines[1:]:
+            row = line.split(",")  # step, x1..xd, y, f_true, is_unsafe, bsf_true
+            if len(row) != width:
+                raise ValueError(f"{len(row)} fields, the header has {width}")
+            records.append(
+                Observation(
+                    point=tuple(map(float, row[1:-4])),
+                    y=float(row[-4]),
+                    f_true=float(row[-3]),
+                    is_unsafe=bool(int(row[-2])),
+                    step_index=int(row[0]),
+                    bsf_true=float(row[-1]),
+                )
             )
-        )
+    except ValueError as exc:
+        raise ConfigError(f"{path} line {len(records) + 2}: {exc}") from None
     return RunResult(
         algorithm=algorithm, run_index=run_index, records=records, termination=""
     )
@@ -552,12 +544,11 @@ def save_benchmark(
     for (algo, i) in sorted(results):
         result = results[(algo, i)]
         write_run_csv(result, outdir / run_csv_name(algo, i))
-        series = unsafe_count_series(result)
         runs_meta.setdefault(algo, {})[str(i)] = {
             "termination": result.termination,
             "n_steps": result.n_steps,
-            "final_bsf": result.records[-1].bsf_true if result.records else None,
-            "final_unsafe": int(series[-1]) if result.n_steps else 0,
+            "final_bsf": result.final_bsf,
+            "final_unsafe": result.n_unsafe,
             "first_failure_step": result.first_failure_step(),
             "wall_time": round(result.wall_time, 4),
             "error": result.error,
@@ -580,19 +571,31 @@ def save_benchmark(
 
 
 def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
-    """Load a persisted benchmark: (manifest, results keyed by algo/run)."""
+    """Load a persisted benchmark: (manifest, results keyed by algo/run).
+
+    A manifest that is not JSON, a run CSV that does not load or whose
+    record count is not the manifest's ``n_steps`` raise ConfigError.
+    """
     outdir = Path(outdir)
     manifest_path = outdir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json in {outdir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {manifest_path}: {exc}") from None
     results = {}
     for algo, runs in manifest["runs"].items():
         for idx_str, meta in runs.items():
             i = int(idx_str)
             path = outdir / run_csv_name(algo, i)
             result = load_run_csv(path, algo, i)
+            if result.n_steps != meta["n_steps"]:
+                raise ConfigError(
+                    f"{path} holds {result.n_steps} records, "
+                    f"the manifest says {meta['n_steps']}"
+                )
             result.termination = meta["termination"]
             result.error = meta.get("error")
             results[(algo, i)] = result

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .harness import RunResult, unsafe_count_series
+from .harness import RunResult
 
 __all__ = [
     "AggregateSeries",
@@ -108,10 +108,7 @@ def aggregate_bsf(results: Sequence[RunResult], eval_budget: int) -> AggregateSe
 
 def summarize_unsafe(results: Sequence[RunResult]) -> UnsafeSummary:
     """Five-number summary plus mean of final unsafe counts, one per run."""
-    counts = []
-    for r in results:
-        series = unsafe_count_series(r)
-        counts.append(int(series[-1]) if series.size else 0)
+    counts = [r.n_unsafe for r in results]
     arr = np.asarray(counts, dtype=float)
     return UnsafeSummary(
         counts=counts,
@@ -169,7 +166,7 @@ def emit_trajectory_csv(results: dict[tuple[str, int], RunResult], path) -> None
     for algo, i in keys:
         prefix = f"{algo},{i},"
         for rec in results[(algo, i)].records:
-            lines.append(f"{prefix}{rec.step},{','.join(map(_fmt, rec.point))}")
+            lines.append(f"{prefix}{rec.step_index},{','.join(map(_fmt, rec.point))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -13,7 +13,7 @@ runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -32,6 +32,7 @@ __all__ = [
     "discretize",
     "percentile_threshold",
     "estimate_lipschitz",
+    "seed_eligibility",
     "sample_safe_seeds",
 ]
 
@@ -228,13 +229,25 @@ def make_problem(
     )
 
 
-def _eligible_seed_mask(problem: SafeOpProblem, scenario: Scenario) -> np.ndarray:
+def seed_eligibility(
+    problem: SafeOpProblem,
+) -> tuple[np.ndarray, list[tuple[Scenario, np.ndarray]]]:
+    """Grid points safe with margin, f(x) - noise_std * seed_confidence >= h.
+
+    Returns their mask and the regions seeds are drawn from, each with its
+    eligible points' mask: S3's top-left and bottom-right quadrants, in
+    that order, otherwise the problem's scenario region.
+    """
     grid = problem.grid
-    margin_ok = (
+    safe = (
         grid.values - problem.noise_std * problem.seed_confidence
         >= problem.threshold
     )
-    return margin_ok & scenario_mask(scenario, grid.points)
+    if problem.scenario is Scenario.S3:
+        regions = [Scenario.S2_TOP_LEFT, Scenario.S2_BOTTOM_RIGHT]
+    else:
+        regions = [problem.scenario]
+    return safe, [(r, safe & scenario_mask(r, grid.points)) for r in regions]
 
 
 def sample_safe_seeds(
@@ -242,26 +255,19 @@ def sample_safe_seeds(
 ) -> list[tuple[float, ...]]:
     """Sample n distinct grid points that are safe with margin.
 
-    Eligible points satisfy f(x) - noise_std * seed_confidence >= threshold
-    and lie inside the problem's scenario region. For scenario S3 the draw
-    is split ceil(n/2) from the top-left quadrant and floor(n/2) from the
-    bottom-right.
+    The draw is split over :func:`seed_eligibility`'s regions: for
+    scenario S3, ceil(n/2) from the top-left quadrant and floor(n/2) from
+    the bottom-right.
     """
     if n < 1:
         raise ValueError("seed count must be >= 1")
-    scenario = problem.scenario
-    if scenario is Scenario.S3:
-        plan = [
-            (Scenario.S2_TOP_LEFT, (n + 1) // 2),
-            (Scenario.S2_BOTTOM_RIGHT, n // 2),
-        ]
-    else:
-        plan = [(scenario, n)]
+    _, regions = seed_eligibility(problem)
     chosen: list[int] = []
-    for region, count in plan:
+    for j, (region, mask) in enumerate(regions):
+        count = (n + len(regions) - 1 - j) // len(regions)
         if count == 0:
             continue
-        eligible = np.flatnonzero(_eligible_seed_mask(problem, region))
+        eligible = np.flatnonzero(mask)
         if eligible.size < count:
             raise InfeasibleScenarioError(
                 f"region {region.value!r} has only {eligible.size} eligible "
@@ -275,13 +281,15 @@ def sample_safe_seeds(
 
 @dataclass
 class Observation:
-    """One oracle query: where, what was observed, and whether it was safe."""
+    """One oracle query, the run record the harness persists: where, what
+    was observed, whether it was safe, and the best true value so far."""
 
     point: tuple[float, ...]
     y: float
     f_true: float
     is_unsafe: bool
     step_index: int
+    bsf_true: float
 
 
 class Oracle:
@@ -303,8 +311,8 @@ class Oracle:
         self.rng = rng
         self.seeds_consume_budget = seeds_consume_budget
         self.log: list[Observation] = []
-        self.evals_used = 0
         self.unsafe_used = 0
+        self._bsf_true = -math.inf
         self.termination = TerminationReason.RUNNING
         self._budget_extra = 0  # seed evaluations exempted from the budget
 
@@ -333,21 +341,22 @@ class Oracle:
         eps = float(self.rng.normal(0.0, problem.noise_std))
         y = f + eps
         unsafe = y < problem.threshold
+        self._bsf_true = max(self._bsf_true, f)
         obs = Observation(
             point=point,
             y=y,
             f_true=f,
             is_unsafe=unsafe,
             step_index=len(self.log) + 1,
+            bsf_true=self._bsf_true,
         )
         self.log.append(obs)
-        self.evals_used += 1
         if unsafe:
             self.unsafe_used += 1
         budget = problem.safety_budget
         if unsafe and budget is not None and self.unsafe_used > budget:
             self.termination = TerminationReason.SAFETY_EXHAUSTED
-        elif self.evals_used >= self.effective_budget:
+        elif len(self.log) >= self.effective_budget:
             self.termination = TerminationReason.BUDGET_EXHAUSTED
         return obs
 

@@ -39,14 +39,11 @@ def run_benchmark(problem_overrides, algorithms):
 
 
 def final_unsafe(results, algo):
-    return [
-        int(harness.unsafe_count_series(results[(algo, i)])[-1])
-        for i in range(N_RUNS)
-    ]
+    return [results[(algo, i)].n_unsafe for i in range(N_RUNS)]
 
 
 def final_bsf(results, algo):
-    return [results[(algo, i)].records[-1].bsf_true for i in range(N_RUNS)]
+    return [results[(algo, i)].final_bsf for i in range(N_RUNS)]
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,8 @@ def ind(point, fitness, birth=0):
 
 def obs(point, y, unsafe=False, step=1):
     return Observation(
-        point=tuple(point), y=y, f_true=y, is_unsafe=unsafe, step_index=step
+        point=tuple(point), y=y, f_true=y, is_unsafe=unsafe, step_index=step,
+        bsf_true=y,
     )
 
 
@@ -321,10 +322,10 @@ class TestGenerationStep:
     def test_lambda_evaluations_per_generation(self):
         problem = ea_problem()
         oracle, opt = primed_ea(problem, n_seeds=4)
-        before = oracle.evals_used
+        before = len(oracle.log)
         out = opt.step(oracle)
         assert len(out) == 4
-        assert oracle.evals_used == before + 4
+        assert len(oracle.log) == before + 4
 
     def test_population_size_constant_and_in_bounds(self):
         problem = ea_problem()
@@ -449,6 +450,7 @@ class TestVaScreening:
                     f_true=o.f_true,
                     is_unsafe=True,
                     step_index=99,
+                    bsf_true=o.bsf_true,
                 )
             )
         opt.step(oracle)
@@ -466,9 +468,9 @@ class TestVaScreening:
             params=EaParams(mu=2, lam=2, retry_cap=50),
             va_enabled=True,
         )
-        evals_before = oracle.evals_used
+        evals_before = len(oracle.log)
         opt.step(oracle)
-        assert oracle.evals_used == evals_before + 2  # only accepted ones
+        assert len(oracle.log) == evals_before + 2  # only accepted ones
 
 
 class NaiveEvalHistory:
@@ -561,15 +563,15 @@ def naive_evaluate(self, x):
     eps = float(self.rng.normal(0.0, self.problem.noise_std))
     y = f + eps
     unsafe = y < self.problem.threshold
-    o = Observation(point=point, y=y, f_true=f, is_unsafe=unsafe, step_index=len(self.log) + 1)
+    o = Observation(point=point, y=y, f_true=f, is_unsafe=unsafe, step_index=len(self.log) + 1,
+                    bsf_true=max([r.f_true for r in self.log] + [f]))
     self.log.append(o)
-    self.evals_used += 1
     if unsafe:
         self.unsafe_used += 1
     budget = self.problem.safety_budget
     if unsafe and budget is not None and self.unsafe_used > budget:
         self.termination = TerminationReason.SAFETY_EXHAUSTED
-    elif self.evals_used >= self.effective_budget:
+    elif len(self.log) >= self.effective_budget:
         self.termination = TerminationReason.BUDGET_EXHAUSTED
     return o
 

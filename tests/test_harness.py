@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import safeobench
-from safeobench import cli, harness
+from safeobench import Observation, cli, harness
 from safeobench.harness import (
     ConfigError,
     RunResult,
-    StepRecord,
     benchmark,
     build_problem,
     derive_rng,
@@ -24,7 +23,6 @@ from safeobench.harness import (
     normalize_config,
     run,
     save_benchmark,
-    unsafe_count_series,
     write_run_csv,
 )
 
@@ -55,8 +53,8 @@ def fast_plan(fast_cfg):
 
 
 def record(step, unsafe=False, f=0.0):
-    return StepRecord(
-        step=step, point=(0.0, 0.0), y=f, f_true=f, is_unsafe=unsafe, bsf_true=f
+    return Observation(
+        point=(0.0, 0.0), y=f, f_true=f, is_unsafe=unsafe, step_index=step, bsf_true=f
     )
 
 
@@ -131,7 +129,7 @@ class TestRun:
     def test_exact_record_count(self, fast_plan):
         result = run(fast_plan, "unsafe-ea", 0)
         assert result.n_steps == 20
-        assert [r.step for r in result.records] == list(range(1, 21))
+        assert [r.step_index for r in result.records] == list(range(1, 21))
         assert result.termination == "budget_exhausted"
 
     def test_bsf_is_running_max_of_true_values(self, fast_plan):
@@ -160,7 +158,7 @@ class TestRun:
         assert result.termination == "safety_exhausted"
         assert result.records[-1].is_unsafe
         assert sum(r.is_unsafe for r in result.records) == 1
-        assert result.first_failure_step() == result.records[-1].step
+        assert result.first_failure_step() == result.records[-1].step_index
 
     def test_stalled_algorithm_recorded_not_raised(self, fast_plan, monkeypatch):
         from safeobench import safegp
@@ -173,14 +171,14 @@ class TestRun:
         assert result.termination == "stalled"
         assert result.n_steps == 4  # the seed observations remain
 
-    def test_unsafe_series_examples(self):
+    def test_summary_examples(self):
         rr = RunResult("x", 0, [record(i + 1) for i in range(5)], "budget_exhausted")
-        np.testing.assert_array_equal(unsafe_count_series(rr), np.zeros(5, int))
-        recs = [record(i + 1, unsafe=(i + 1 in (3, 7))) for i in range(10)]
+        assert (rr.n_unsafe, rr.first_failure_step()) == (0, None)
+        recs = [record(i + 1, unsafe=(i + 1 in (3, 7)), f=-i) for i in range(10)]
         rr = RunResult("x", 0, recs, "budget_exhausted")
-        np.testing.assert_array_equal(
-            unsafe_count_series(rr), [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
-        )
+        assert (rr.n_unsafe, rr.first_failure_step(), rr.final_bsf) == (2, 3, -9)
+        empty = RunResult("x", 0, [], "failed")
+        assert (empty.n_unsafe, empty.first_failure_step(), empty.final_bsf) == (0, None, None)
 
 
 class TestBenchmark:
@@ -250,7 +248,7 @@ class TestPersistence:
             )
             for r in result.records:
                 writer.writerow(
-                    [r.step] + [repr(float(c)) for c in r.point]
+                    [r.step_index] + [repr(float(c)) for c in r.point]
                     + [repr(float(r.y)), repr(float(r.f_true)), int(r.is_unsafe),
                        repr(float(r.bsf_true))]
                 )
@@ -262,12 +260,12 @@ class TestPersistence:
     def edge_result(cls, dim, n_records):
         values = cls.EDGE_VALUES
         records = [
-            StepRecord(
-                step=t + 1,
+            Observation(
                 point=tuple(values[(t + k) % len(values)] for k in range(dim)),
                 y=values[(t + 3) % len(values)],
                 f_true=values[(t + 5) % len(values)],
                 is_unsafe=t % 3 == 1,
+                step_index=t + 1,
                 bsf_true=values[(t + 7) % len(values)],
             )
             for t in range(n_records)
@@ -309,6 +307,12 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="empty"):
             load_run_csv(tmp_path / "r.csv", "va-ea", 0)
 
+    @pytest.mark.parametrize("header", [b"step", b"a,b,c,d,e,f", b"step,x1,y,f_true,is_unsafe"])
+    def test_reader_rejects_other_headers(self, header, tmp_path):
+        (tmp_path / "r.csv").write_bytes(header + b"\r\n")
+        with pytest.raises(ConfigError, match="header"):
+            load_run_csv(tmp_path / "r.csv", "va-ea", 0)
+
     def test_save_and_load_benchmark(self, fast_cfg, tmp_path):
         plan = make_plan(fast_cfg, ["va-ea"], 2)
         results = benchmark(plan)
@@ -329,12 +333,40 @@ class TestPersistence:
 
 class TestInformationHiding:
     def test_algorithm_modules_never_read_f_true(self):
-        # only the observed y may steer the algorithms; the true value is
-        # logged out-of-band by the harness
+        # only the observed y may steer the algorithms; the true value and
+        # the best true value so far are logged out-of-band by the oracle
         src_dir = Path(harness.__file__).parent
         for module in ("safegp.py", "ea.py"):
             text = (src_dir / module).read_text()
-            assert not re.search(r"\.f_true\b", text), module
+            assert not re.search(r"\.(f_true|bsf_true)\b", text), module
+
+
+# Ways to damage a two-run va-ea results directory.
+
+
+def _cut_to_header(outdir):
+    path = outdir / "va-ea_run1.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _edit_row(outdir, edit):
+    path = outdir / "va-ea_run1.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _short_row(outdir):
+    _edit_row(outdir, lambda fields: fields[:3])
+
+
+def _non_numeric_field(outdir):
+    _edit_row(outdir, lambda fields: fields[:3] + ["y?"] + fields[4:])
+
+
+def _truncate_manifest(outdir):
+    path = outdir / "manifest.json"
+    path.write_text(path.read_text()[:200])
 
 
 class TestCli:
@@ -457,6 +489,93 @@ class TestCli:
             assert cli.main([*args, "--out", str(tmp_path / name)]) == 0
         rows = (tmp_path / "bsf.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [["va-ea", str(s)] for s in range(1, 111)]
+
+    INSPECT_COMMON = (
+        "grid             : 100x100 = 10000 points\n"
+        "value range      : [-250, 78.3113]\n"
+        "threshold h      : 39.0507 (75th percentile)\n"
+        "lipschitz L      : 234.524\n"
+        "noise std        : 0.1\n"
+    )
+
+    @pytest.mark.parametrize("config,overrides,expected", [
+        ("sphere", [], (
+            "objective        : sphere (d=2)\n"
+            "grid             : 100x100 = 10000 points\n"
+            "value range      : [-50, -0.00510152]\n"
+            "threshold h      : -1.65799 (95th percentile)\n"
+            "lipschitz L      : 13.9993\n"
+            "noise std        : 0.1\n"
+            "scenario         : none\n"
+            "eligible seeds   : 448 grid points (any scenario region)\n"
+        )),
+        ("styblinski_s1", [], (
+            "objective        : styblinski-tang (d=2)\n" + INSPECT_COMMON
+            + "scenario         : s1\n"
+            "eligible seeds   : 2462 grid points (any scenario region)\n"
+            "  in s1             : 249\n"
+        )),
+        ("styblinski_s1", ["--set", "problem.scenario=s3"], (
+            "objective        : styblinski-tang (d=2)\n" + INSPECT_COMMON
+            + "scenario         : s3\n"
+            "eligible seeds   : 2462 grid points (any scenario region)\n"
+            "  in s2-topleft     : 617\n"
+            "  in s2-bottomright : 617\n"
+        )),
+    ])
+    def test_problem_inspect_output(self, config, overrides, expected, capsys):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        assert cli.main(["problem", "inspect", str(path), *overrides]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_summaries_agree_with_run_csv(self, tmp_path, capsys):
+        # large blind jumps over a low threshold: the runs evaluate unsafe points
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": {**FAST_CFG["problem"], "percentile": 70.0, "noise_std": 0.5},
+            "ea": {"mutation_std": 2.5, "mutation_prob": 1.0},
+        }))
+        outdir = tmp_path / "bench"
+        args = ["benchmark", str(path), "--algos", "unsafe-ea", "--runs", "2"]
+        assert cli.main([*args, "--out", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        lines = {}
+        for i in (0, 1):
+            with open(outdir / f"unsafe-ea_run{i}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            unsafe = [int(r["step"]) for r in rows if r["is_unsafe"] == "1"]
+            assert unsafe
+            meta = manifest["runs"]["unsafe-ea"][str(i)]
+            assert meta["n_steps"] == len(rows)
+            assert meta["final_bsf"] == float(rows[-1]["bsf_true"])
+            assert meta["final_unsafe"] == len(unsafe)
+            assert meta["first_failure_step"] == unsafe[0]
+            lines[i] = (
+                f"unsafe-ea run {i}: {len(rows)} evaluations, "
+                f"termination={meta['termination']}, "
+                f"final BSF={float(rows[-1]['bsf_true']):.6g}, unsafe={len(unsafe)}\n"
+            )
+        capsys.readouterr()
+        for i in (0, 1):
+            assert cli.main(["run", str(path), "--algo", "unsafe-ea", "--run-index", str(i)]) == 0
+            assert capsys.readouterr().out == lines[i]
+
+    @pytest.mark.parametrize("corrupt", [
+        _cut_to_header, _short_row, _non_numeric_field, _truncate_manifest,
+    ], ids=lambda f: f.__name__[1:])
+    def test_report_on_malformed_results_exits_2(self, corrupt, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"problem": {"nodes_per_axis": 10, "eval_budget": 5, "n_seeds": 2}}
+        ))
+        outdir = tmp_path / "bench"
+        args = ["benchmark", str(path), "--algos", "va-ea", "--runs", "2"]
+        assert cli.main([*args, "--out", str(outdir)]) == 0
+        corrupt(outdir)
+        args = ["report", str(outdir), "--metric", "bsf"]
+        assert cli.main([*args, "--out", str(tmp_path / "bsf.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "bsf.csv").exists()
 
     def test_set_overrides(self, tmp_path, capsys):
         rc = cli.main(

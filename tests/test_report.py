@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from safeobench.harness import RunResult, StepRecord
+from safeobench import Observation
+from safeobench.harness import RunResult
 from safeobench.report import (
     _widen,
     aggregate_bsf,
@@ -17,12 +18,12 @@ from safeobench.report import (
 def make_result(bsf_values, unsafe_flags=None, algo="a", idx=0):
     unsafe_flags = unsafe_flags or [False] * len(bsf_values)
     records = [
-        StepRecord(
-            step=i + 1,
+        Observation(
             point=(float(i), 0.0),
             y=v,
             f_true=v,
             is_unsafe=u,
+            step_index=i + 1,
             bsf_true=v,
         )
         for i, (v, u) in enumerate(zip(bsf_values, unsafe_flags))

@@ -66,7 +66,7 @@ def conditioned_lower_oracle(model, c, value_c, queries, beta):
     )
     kinv = np.linalg.inv(k(X, X) + np.diag(noise))
     kq = k(X, queries)
-    mean = model.prior_mean + kq.T @ kinv @ (y - model.prior_mean)
+    mean = kq.T @ kinv @ y
     var = kernel.signal_variance - np.einsum("ij,ji->i", kq.T @ kinv, kq)
     return mean - beta * np.sqrt(np.clip(var, 0.0, None))
 
@@ -470,7 +470,7 @@ class TestOptimizerIntegration:
             if variant in ("msafeopt", "msafe-ucb"):
                 assert np.all(opt.safe_mask[prev_mask])  # monotone
             prev_mask = opt.safe_mask.copy()
-        assert oracle.evals_used == problem.eval_budget
+        assert len(oracle.log) == problem.eval_budget
         for obs in oracle.log:
             problem.grid.index_of(obs.point)  # all queries are grid nodes
 
@@ -546,7 +546,8 @@ class TestIncrementalGridPosterior:
         j = grid.n_points - 1
         seeds = [
             Observation(point=tuple(grid.points[k]), y=problem.threshold + dy,
-                        f_true=grid.values[k], is_unsafe=dy < 0, step_index=s)
+                        f_true=grid.values[k], is_unsafe=dy < 0, step_index=s,
+                        bsf_true=grid.values[k])
             for s, (k, dy) in enumerate([(i, 1e-3), (j, -50.0)], start=1)
         ]
         opt = SafeGpOptimizer(variant, problem, seeds)
@@ -665,6 +666,7 @@ class TestOptimizerConstruction:
                 f_true=grid.values[i],
                 is_unsafe=True,
                 step_index=i + 1,
+                bsf_true=grid.values[i],
             )
             for i in idx
         ]

@@ -312,7 +312,7 @@ class TestOracle:
         for _ in range(100):
             oracle.evaluate((0.0, 0.0))
         assert oracle.termination is TerminationReason.BUDGET_EXHAUSTED
-        assert oracle.evals_used == 100
+        assert len(oracle.log) == 100
         with pytest.raises(TerminatedRunError):
             oracle.evaluate((0.0, 0.0))
 
@@ -327,8 +327,10 @@ class TestOracle:
         pts = [(0.0, 0.0), (5.0, 5.0), (1.0, 1.0), (4.0, -4.0)]
         for p in pts:
             oracle.evaluate(p)
-        assert oracle.evals_used == len(oracle.log) == 4
+        assert len(oracle.log) == 4
         assert oracle.unsafe_used == sum(o.is_unsafe for o in oracle.log)
+        f = [o.f_true for o in oracle.log]
+        assert [o.bsf_true for o in oracle.log] == [max(f[: t + 1]) for t in range(4)]
 
     def test_determinism_bitwise(self):
         prob = small_problem()
@@ -355,7 +357,7 @@ class TestPriming:
         seeds = sample_safe_seeds(prob, 10, np.random.default_rng(0))
         obs = oracle.prime(seeds)
         assert len(obs) == 10
-        assert oracle.evals_used == 10
+        assert len(oracle.log) == 10
         assert [o.step_index for o in obs] == list(range(1, 11))
 
     def test_noiseless_seeds_all_safe(self):
@@ -368,7 +370,7 @@ class TestPriming:
         prob = small_problem(eval_budget=100)
         oracle = Oracle(prob, np.random.default_rng(0))
         oracle.prime(sample_safe_seeds(prob, 2, np.random.default_rng(0)))
-        assert oracle.effective_budget - oracle.evals_used == 98
+        assert oracle.effective_budget - len(oracle.log) == 98
 
     def test_seeds_exempt_from_budget_when_configured(self):
         prob = small_problem(eval_budget=5)
@@ -377,7 +379,7 @@ class TestPriming:
         for _ in range(5):
             oracle.evaluate((0.0, 0.0))
         assert not oracle.running
-        assert oracle.evals_used == 8
+        assert len(oracle.log) == 8
 
     def test_empty_seed_list_rejected(self):
         oracle = Oracle(small_problem(), np.random.default_rng(0))
