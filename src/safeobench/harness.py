@@ -152,9 +152,11 @@ CONFIG_SCHEMA = {
     # must stay above the rounding error of a Gram matrix whose diagonal
     # is signal_variance, and a subnormal signal_variance rounds every
     # kernel value to a few bits (at 5e-324, to 0 or 5e-324), so the
-    # posterior mean loses its precision. The expander test scales
-    # covariances (at most signal_variance) by beta / std over stds down
-    # to 1e-6, which must stay finite.
+    # posterior mean loses its precision. beta scales std (at most
+    # sqrt(signal_variance) <= 1e3) in the bounds mean +- beta * std, and
+    # the expander test divides each margin h - mean by beta * std; the
+    # range keeps both far inside the float range (a zero beta * std is
+    # a bound no observation moves, which the test handles).
     "gp": {
         "lengthscale": (1.0, _real(lambda x: 1e-150 <= x <= 1e150, " in [1e-150, 1e150]")),
         "signal_variance": (4.0, _real(lambda x: 1e-150 <= x <= 1e6, " in [1e-150, 1e6]")),
@@ -570,11 +572,24 @@ def save_benchmark(
     return outdir
 
 
+def _field(mapping, key: str, where, kind: type = object):
+    """``mapping[key]``; ConfigError naming ``where`` when ``mapping`` is
+    not a dict, lacks ``key`` or holds something other than a ``kind``."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ConfigError(f"{where} has no {key!r}")
+    if not isinstance(mapping[key], kind):
+        raise ConfigError(f"{where}: {key!r} must be a {kind.__name__}")
+    return mapping[key]
+
+
 def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
     """Load a persisted benchmark: (manifest, results keyed by algo/run).
 
-    A manifest that is not JSON, a run CSV that does not load or whose
-    record count is not the manifest's ``n_steps`` raise ConfigError.
+    Raise ConfigError for a manifest that is not JSON or lacks ``config``,
+    ``runs`` or a run's ``n_steps`` or ``termination``, a config that
+    does not normalize, and a run CSV that does not load, whose record
+    count is not the manifest's ``n_steps`` or exceeds the config's
+    ``max_run_length``. The manifest comes back with its config normalized.
     """
     outdir = Path(outdir)
     manifest_path = outdir / "manifest.json"
@@ -585,18 +600,34 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read {manifest_path}: {exc}") from None
+    config = normalize_config(_field(manifest, "config", manifest_path))
+    manifest["config"] = config
+    limit = max_run_length(config)
     results = {}
-    for algo, runs in manifest["runs"].items():
-        for idx_str, meta in runs.items():
+    all_runs = _field(manifest, "runs", manifest_path, dict)
+    for algo in all_runs:
+        runs = _field(all_runs, algo, f"{manifest_path} runs", dict)
+        for idx_str in runs:
+            where = f"{manifest_path} run {algo}/{idx_str}"
+            meta = _field(runs, idx_str, where, dict)
+            n_steps = _field(meta, "n_steps", where, int)
+            termination = _field(meta, "termination", where, str)
+            if not idx_str.isdigit():
+                raise ConfigError(f"{where}: run index is not a number")
             i = int(idx_str)
             path = outdir / run_csv_name(algo, i)
             result = load_run_csv(path, algo, i)
-            if result.n_steps != meta["n_steps"]:
+            if result.n_steps != n_steps:
                 raise ConfigError(
                     f"{path} holds {result.n_steps} records, "
-                    f"the manifest says {meta['n_steps']}"
+                    f"the manifest says {n_steps}"
                 )
-            result.termination = meta["termination"]
+            if n_steps > limit:
+                raise ConfigError(
+                    f"{path} holds {n_steps} records, more than the "
+                    f"{limit} a run of the manifest's config can hold"
+                )
+            result.termination = termination
             result.error = meta.get("error")
             results[(algo, i)] = result
     return manifest, results

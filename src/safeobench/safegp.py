@@ -26,7 +26,14 @@ the first step and when the extension breaks down.
 * ``msafeopt`` / ``msafe-ucb`` drop the Lipschitz constant and certify
   directly from the GP lower bound, l(x) >= h. Their safe set is unioned
   with the previous one so the initial seeds can never drop out when a
-  pessimistic refit dips the bounds.
+  pessimistic refit dips the bounds. A boundary point c is an expander
+  when a fictitious noiseless observation u(c) at c would lift some
+  outside point u to l(u) >= h. In closed form that depends on u only
+  through one threshold per grid point, computed once per step, so each
+  (c, u) pair costs one entry of a matmul, k(c, u) - v_c . v_u, and one
+  comparison. The outside points with the highest lower bounds are
+  tested first; candidates still undecided then sweep the grid in
+  contiguous column blocks of V.
 
 Selection: the "opt" variants pick the widest confidence interval among
 maximizers (safe points whose upper bound reaches the best safe lower
@@ -40,6 +47,7 @@ points cross the module boundary.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,6 +87,11 @@ _WIDTH_VARIANTS = ("safeopt", "msafeopt")  # the others select by UCB
 # Posterior variance below this is treated as an already-known point when
 # screening expander candidates.
 _VAR_FLOOR = 1e-12
+# Expander scan (``_expanders_modified``): the outside points tested first,
+# then the width of the grid-order column blocks tested after them.
+_FIRST_BLOCK = 128
+_COLUMN_BLOCK = 2048
+_SQRT2 = math.sqrt(2.0)
 
 
 class StalledAlgorithmError(RuntimeError):
@@ -235,6 +248,52 @@ def _expanders_lipschitz(
     return mask
 
 
+def _lift_thresholds(
+    safe_mask: np.ndarray,
+    mean: np.ndarray,
+    std: np.ndarray,
+    beta: float,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance thresholds at which a fictitious observation lifts a point.
+
+    Conditioning on a noiseless observation (c, u(c)) of a candidate c
+    gives an outside point u the lower bound
+    mu_u + beta * sd_u * (rho - sqrt(1 - rho^2)), with
+    rho = cov(c, u) / (sd_c * sd_u). That reaches the threshold h iff
+    rho - sqrt(1 - rho^2) >= t_u = (h - mu_u) / (beta * sd_u). With
+    s = sqrt(2 - t_u^2) the roots are (t_u -+ s) / 2, so c lifts u iff
+    cov(c, u) >= need[u] * sd_c or cov(c, u) <= low[u] * sd_c, where
+
+    * t_u > 1: no rho reaches; need = inf (safe points too);
+    * -sqrt(2) < t_u <= 1: need = sd_u * (t_u + s) / 2;
+    * -sqrt(2) < t_u <= -1: also low = sd_u * (t_u - s) / 2, otherwise
+      low = -inf. Only a point whose lower bound already reaches h has
+      such a t_u, and the optimizer's safe set always contains those;
+    * t_u <= -sqrt(2): every rho reaches; need = -inf.
+
+    With beta * sd_u = 0 the bound is mu_u whatever c is observed, so
+    t_u is -inf where mu_u reaches h and inf where it does not.
+    """
+    scale = beta * std
+    margin = threshold - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = margin / scale
+    flat = scale == 0
+    t[flat] = np.where(margin[flat] > 0, np.inf, -np.inf)
+    t[safe_mask] = np.inf
+    need = np.full(t.size, np.inf)
+    low = np.full(t.size, -np.inf)
+    roots = np.flatnonzero((t <= 1.0) & (t > -_SQRT2))
+    t_r, sd_r = t[roots], std[roots]
+    s = np.sqrt(2.0 - np.square(t_r))
+    need[roots] = 0.5 * (t_r + s) * sd_r
+    need[t <= -_SQRT2] = -np.inf
+    band = t_r <= -1.0
+    low[roots[band]] = 0.5 * (t_r[band] - s[band]) * sd_r[band]
+    return need, low
+
+
 def _expanders_modified(
     safe_mask: np.ndarray,
     shape: tuple[int, ...],
@@ -250,55 +309,63 @@ def _expanders_modified(
 
     A safe boundary point c expands iff conditioning the GP on a
     fictitious noiseless observation (c, u(c)) lifts the lower bound of
-    some outside point to the threshold. The conditioning is done in
-    closed form via the posterior covariance; restricting candidates to
-    the safe-set boundary keeps the cost linear in the boundary size.
-    ``v_grid`` is the whitened cross-kernel L^-1 k(X, points) of ``model``.
+    some outside point u to the threshold. In closed form
+    (``_lift_thresholds``) that compares the posterior covariance
+    k(c, u) - v_c . v_u with a threshold per point u, scaled by sd_c (a
+    second comparison only where some point's lower bound already
+    reaches the threshold); restricting candidates to the safe-set
+    boundary keeps the cost linear in the boundary size. ``v_grid`` is
+    the whitened cross-kernel L^-1 k(X, points) of ``model``; candidates
+    whose posterior variance is at most ``_VAR_FLOOR`` never expand.
+
+    Outside points close to the threshold need the smallest lift, so the
+    ``_FIRST_BLOCK`` liftable outside points with the highest lower bound
+    are tested first, and most expanders are decided there. Candidates
+    still undecided then sweep the grid in contiguous blocks of
+    ``_COLUMN_BLOCK`` columns, which slice ``v_grid`` and ``points``
+    without gathers; safe and unliftable points in a block have an
+    infinite threshold and never count.
     """
     mask = np.zeros(safe_mask.size, dtype=bool)
-    outside = np.flatnonzero(~safe_mask)
-    if outside.size == 0:
+    need, low = _lift_thresholds(safe_mask, mean, std, beta, threshold)
+    live = np.flatnonzero(need < np.inf)
+    if live.size == 0:
         return mask
     cand = boundary_candidates(safe_mask, shape)
+    cand = cand[np.square(std[cand]) > _VAR_FLOOR]
     if cand.size == 0:
         return mask
-    v_c = v_grid[:, cand]
-    var_c = np.square(std[cand])
-    usable = var_c > _VAR_FLOOR
-    var_c = np.where(usable, var_c, 1.0)
-    gain = beta / np.sqrt(var_c)
+    v_cand = v_grid[:, cand]
+    sd_cand = std[cand][:, None]
+    two_sided = bool(np.any(low[live] > -np.inf))
 
-    # Outside points already close to the threshold need the smallest
-    # lift, so scanning them first lets most true expanders exit after
-    # the first chunk.
-    order = np.argsort(-(mean[outside] - beta * std[outside]))
-    outside = outside[order]
-    undecided = np.flatnonzero(usable)
-    expands = np.zeros(cand.size, dtype=bool)
-    chunk = 2048
-    for start in range(0, outside.size, chunk):
-        if undecided.size == 0:
-            break
-        out_idx = outside[start : start + chunk]
-        rows = cand[undecided]
-        v_u = v_grid[:, out_idx]
-        cross = kernel_matrix(model.kernel, points[rows], points[out_idx])
-        cross -= v_c[:, undecided].T @ v_u
-        # new_var = var_u - cross^2 / var_c, then lower bound of the
-        # conditioned posterior; arithmetic kept in-place on two buffers.
-        lift = np.square(cross)
-        lift /= var_c[undecided, None]
-        np.subtract(np.square(std[out_idx])[None, :], lift, out=lift)
-        np.clip(lift, 0.0, None, out=lift)
-        np.sqrt(lift, out=lift)
-        lift *= -beta
-        cross *= gain[undecided, None]
-        cross += lift
-        cross += mean[out_idx][None, :]
-        newly = np.any(cross >= threshold, axis=1)
-        expands[undecided[newly]] = True
-        undecided = undecided[~newly]
-    mask[cand[expands]] = True
+    def lifts(rows: np.ndarray, cols) -> np.ndarray:
+        """For each candidate position in ``rows``, whether it lifts some
+        grid point in ``cols``."""
+        cov = kernel_matrix(model.kernel, points[cand[rows]], points[cols])
+        cov -= v_cand[:, rows].T @ v_grid[:, cols]
+        sd = sd_cand[rows]
+        hit = cov >= sd * need[cols]
+        if two_sided:
+            hit |= cov <= sd * low[cols]
+        return hit.any(axis=1)
+
+    undecided = np.arange(cand.size)
+    first = live
+    if live.size > _FIRST_BLOCK:
+        lower = mean[live] - beta * std[live]
+        first = live[np.argpartition(-lower, _FIRST_BLOCK - 1)[:_FIRST_BLOCK]]
+    hit = lifts(undecided, first)
+    mask[cand[hit]] = True
+    undecided = undecided[~hit]
+    if first.size < live.size:
+        end = live[-1] + 1
+        for start in range(live[0], end, _COLUMN_BLOCK):
+            if undecided.size == 0:
+                break
+            hit = lifts(undecided, slice(start, min(start + _COLUMN_BLOCK, end)))
+            mask[cand[undecided[hit]]] = True
+            undecided = undecided[~hit]
     return mask
 
 
@@ -419,7 +486,7 @@ class SafeGpOptimizer:
         # follow that order. V's rows pair with the model's z and fill a
         # buffer sized for the longest run (evaluation budget plus seeds)
         # top-down; _v views its first n rows and tracked columns. Column-
-        # major, so the expander test gathers contiguous grid columns and
+        # major, so the expander test's column blocks are plain slices and
         # the Lipschitz variants touch only the buffer's leading pages.
         # Bounds span the grid and stay NaN where not tracked.
         if self.uses_lipschitz:

@@ -369,6 +369,42 @@ def _truncate_manifest(outdir):
     path.write_text(path.read_text()[:200])
 
 
+def _edit_manifest(outdir, edit):
+    path = outdir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _drop_config(outdir):
+    _edit_manifest(outdir, lambda m: m.pop("config"))
+
+
+def _drop_runs(outdir):
+    _edit_manifest(outdir, lambda m: m.pop("runs"))
+
+
+def _drop_n_steps(outdir):
+    _edit_manifest(outdir, lambda m: m["runs"]["va-ea"]["1"].pop("n_steps"))
+
+
+def _drop_termination(outdir):
+    _edit_manifest(outdir, lambda m: m["runs"]["va-ea"]["0"].pop("termination"))
+
+
+def _non_numeric_run_index(outdir):
+    def rename(manifest):
+        runs = manifest["runs"]["va-ea"]
+        runs["x"] = runs.pop("1")
+
+    _edit_manifest(outdir, rename)
+
+
+def _run_longer_than_budget(outdir):
+    # the run CSVs and their n_steps stay; only the config's budget shrinks
+    _edit_manifest(outdir, lambda m: m["config"]["problem"].update(eval_budget=1))
+
+
 class TestCli:
     def _write_cfg(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -562,6 +598,8 @@ class TestCli:
 
     @pytest.mark.parametrize("corrupt", [
         _cut_to_header, _short_row, _non_numeric_field, _truncate_manifest,
+        _drop_config, _drop_runs, _drop_n_steps, _drop_termination,
+        _non_numeric_run_index, _run_longer_than_budget,
     ], ids=lambda f: f.__name__[1:])
     def test_report_on_malformed_results_exits_2(self, corrupt, tmp_path, capsys):
         path = tmp_path / "cfg.json"

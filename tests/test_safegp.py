@@ -1,8 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from safeobench import safegp
-from safeobench.gp import ConfidenceBounds, KernelSpec, gp_fit, gp_posterior, posterior_detail
+from safeobench import harness, safegp
+from safeobench.gp import (
+    ConfidenceBounds,
+    KernelSpec,
+    gp_fit,
+    gp_posterior,
+    kernel_matrix,
+    posterior_detail,
+)
 from safeobench.problems import Scenario, make_objective
 from safeobench.safeop import Observation, Oracle, make_problem, sample_safe_seeds
 from safeobench.safegp import (
@@ -69,6 +78,54 @@ def conditioned_lower_oracle(model, c, value_c, queries, beta):
     mean = kq.T @ kinv @ y
     var = kernel.signal_variance - np.einsum("ij,ji->i", kq.T @ kinv, kq)
     return mean - beta * np.sqrt(np.clip(var, 0.0, None))
+
+
+def reference_expanders_modified(
+    safe_mask, shape, points, model, mean, std, beta, threshold, v_grid
+):
+    """The expander test written out per pair, as the optimizer once ran it.
+
+    For each boundary candidate c and outside point u, in order of
+    decreasing lower bound and in chunks of 2048 outside points: the
+    conditioned mean mu_u + beta * cov / sd_c and variance
+    var_u - cov^2 / var_c, clipped at 0, then the lower bound against the
+    threshold.
+    """
+    mask = np.zeros(safe_mask.size, dtype=bool)
+    outside = np.flatnonzero(~safe_mask)
+    if outside.size == 0:
+        return mask
+    cand = boundary_candidates(safe_mask, shape)
+    if cand.size == 0:
+        return mask
+    v_c = v_grid[:, cand]
+    var_c = np.square(std[cand])
+    usable = var_c > 1e-12
+    var_c = np.where(usable, var_c, 1.0)
+    gain = beta / np.sqrt(var_c)
+    outside = outside[np.argsort(-(mean[outside] - beta * std[outside]))]
+    undecided = np.flatnonzero(usable)
+    expands = np.zeros(cand.size, dtype=bool)
+    for start in range(0, outside.size, 2048):
+        if undecided.size == 0:
+            break
+        out_idx = outside[start : start + 2048]
+        cross = kernel_matrix(model.kernel, points[cand[undecided]], points[out_idx])
+        cross -= v_c[:, undecided].T @ v_grid[:, out_idx]
+        lift = np.square(cross)
+        lift /= var_c[undecided, None]
+        np.subtract(np.square(std[out_idx])[None, :], lift, out=lift)
+        np.clip(lift, 0.0, None, out=lift)
+        np.sqrt(lift, out=lift)
+        lift *= -beta
+        cross *= gain[undecided, None]
+        cross += lift
+        cross += mean[out_idx][None, :]
+        newly = np.any(cross >= threshold, axis=1)
+        expands[undecided[newly]] = True
+        undecided = undecided[~newly]
+    mask[cand[expands]] = True
+    return mask
 
 
 def random_lipschitz_instance(rng):
@@ -365,8 +422,6 @@ class TestModifiedExpanders:
         u_c = mean[c] + beta * std[c]
         oracle_lower = conditioned_lower_oracle(model, pts[c], u_c, pts[outside], beta)
 
-        from safeobench.gp import kernel_matrix
-
         _, _, v_all = posterior_detail(model, pts)
         cross = (
             kernel_matrix(model.kernel, pts[[c]], pts[outside])
@@ -387,6 +442,190 @@ class TestModifiedExpanders:
             posterior_detail(model, pts)[2],
         )
         assert not g.any()
+
+    @staticmethod
+    def assert_matches_oracle(pts, shape, model, mean, std, safe, beta, h):
+        """Expanders against a dense refit per boundary candidate whose
+        variance is above the floor; returns how many of those do not
+        expand and how many do."""
+        got = _expanders_modified(
+            safe, shape, pts, model, mean, std, beta, h, posterior_detail(model, pts)[2]
+        )
+        outside = np.flatnonzero(~safe)
+        cand = boundary_candidates(safe, shape)
+        usable = np.square(std[cand]) > safegp._VAR_FLOOR
+        assert not got[np.setdiff1d(np.arange(safe.size), cand[usable])].any()
+        decided = [0, 0]
+        for c in cand[usable]:
+            u_c = mean[c] + beta * std[c]
+            lower = conditioned_lower_oracle(model, pts[c], u_c, pts[outside], beta)
+            margin = float(lower.max() - h)
+            if abs(margin) > 1e-8:
+                assert got[c] == (margin >= 0), c
+                decided[margin >= 0] += 1
+        return decided
+
+    @pytest.mark.parametrize("blocks", [None, (1, 100)], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_2d_matches_dense_refit_oracle(self, seed, blocks, monkeypatch):
+        # More liftable outside points than the first block, a grid wider
+        # than one column block, and one outside point whose lower bound
+        # already reaches h (t_u in (-sqrt 2, -1]). Small blocks make most
+        # expanders be decided in the column sweep.
+        if blocks:
+            monkeypatch.setattr(safegp, "_FIRST_BLOCK", blocks[0])
+            monkeypatch.setattr(safegp, "_COLUMN_BLOCK", blocks[1])
+        rng = np.random.default_rng(seed)
+        axis = np.linspace(-3, 3, 48)
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        model = gp_fit(
+            KernelSpec(lengthscale=0.8, signal_variance=2.0),
+            0.05,
+            rng.uniform(-1.5, 1.5, size=(8, 2)),
+            rng.normal(size=8),
+        )
+        mean, std = gp_posterior(model, pts)
+        beta = 2.0
+        safe = np.linalg.norm(pts - [0.3, -0.2], axis=1) < 1.2
+        outside = np.flatnonzero(~safe)
+        lower = mean - beta * std
+        top = outside[np.argmax(lower[outside])]
+        h = float(lower[top] - 0.01 * beta * std[top])
+
+        t = (h - mean[outside]) / (beta * std[outside])
+        assert np.sum(t <= -1) == 1 and t.min() > -np.sqrt(2)
+        assert np.sum(t <= 1) > safegp._FIRST_BLOCK
+        assert pts.shape[0] > safegp._COLUMN_BLOCK
+        n_no, n_yes = self.assert_matches_oracle(
+            pts, (48, 48), model, mean, std, safe, beta, h
+        )
+        assert n_no > 0 and n_yes > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_beta_zero(self, seed):
+        # Bounds collapse to the mean and observing the mean moves nothing:
+        # every usable candidate expands iff some outside mean reaches h.
+        pts, model, mean, std, safe = self._setup(seed)
+        outside_best = float(mean[~safe].max())
+        cases = ((outside_best - 0.1, True), (outside_best, True), (outside_best + 0.1, False))
+        for h, expands in cases:
+            got = _expanders_modified(
+                safe, (pts.shape[0],), pts, model, mean, std, 0.0, h,
+                posterior_detail(model, pts)[2],
+            )
+            want = np.zeros_like(safe)
+            if expands:
+                want[boundary_candidates(safe, (pts.shape[0],))] = True
+            np.testing.assert_array_equal(got, want)
+            self.assert_matches_oracle(
+                pts, (pts.shape[0],), model, mean, std, safe, 0.0, h
+            )
+
+    @pytest.mark.parametrize("target", [-3.0, 3.0], ids=["below-h", "at-or-above-h"])
+    def test_zero_std_at_an_outside_point(self, target):
+        # A noiseless training point outside the safe set: its variance
+        # clips to 0, so no observation moves its bound, which is its mean.
+        # Below h it is never lifted; at or above h every candidate lifts it.
+        pts = np.linspace(-3, 3, 20).reshape(-1, 1)
+        train = np.array([[-0.4], [0.1], [0.6], [pts[15, 0]]])
+        model = gp_fit(KernelSpec(lengthscale=0.8, signal_variance=2.0), 0.0, train,
+                       [0.5, -0.2, 0.3, target])
+        mean, std = gp_posterior(model, pts)
+        std[15] = 0.0
+        safe = np.zeros(20, bool)
+        safe[8:13] = True
+        h = 0.0
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = _expanders_modified(
+                safe, (20,), pts, model, mean, std, 2.0, h, posterior_detail(model, pts)[2]
+            )
+        cand = boundary_candidates(safe, (20,))
+        if target > h:
+            assert got[cand].all()
+        self.assert_matches_oracle(pts, (20,), model, mean, std, safe, 2.0, h)
+
+    def test_lift_through_the_lower_root(self):
+        # A noiseless observation midway between c and u makes them strongly
+        # anti-correlated: rho = -exp(-d^2 / l^2) = -0.951. u is outside but
+        # its lower bound already reaches h, with t_u = -1.4: conditioning
+        # keeps it there iff rho >= -0.6 or rho <= -0.8, so c expands only
+        # through the lower root. The far points at +-10 have t = 1.5.
+        d, beta, h = 0.2236, 1.0, 1.5
+        pts = np.array([[-10.0], [-d], [0.0], [d], [10.0]])
+        sd_u = np.sqrt(1.0 - np.exp(-d * d))
+        y = (h + 1.4 * beta * sd_u) * np.exp(d * d / 2)
+        model = gp_fit(KernelSpec(lengthscale=1.0, signal_variance=1.0), 0.0, [[0.0]], [y])
+        mean, std = gp_posterior(model, pts)
+        safe = np.array([False, True, True, False, False])
+        need, low = safegp._lift_thresholds(safe, mean, std, beta, h)
+        np.testing.assert_allclose([need[3] / std[3], low[3] / std[3]], [-0.6, -0.8])
+        got = _expanders_modified(
+            safe, (5,), pts, model, mean, std, beta, h, posterior_detail(model, pts)[2]
+        )
+        np.testing.assert_array_equal(got, [False, True, False, False, False])
+        assert self.assert_matches_oracle(pts, (5,), model, mean, std, safe, beta, h) == [0, 1]
+
+    def test_last_grid_column_decides(self, monkeypatch):
+        # The one outside point c can lift is the last grid index; the far
+        # point at -10 has the higher lower bound, so it alone fills a first
+        # block of one, and the sweep must reach the final column block.
+        monkeypatch.setattr(safegp, "_FIRST_BLOCK", 1)
+        monkeypatch.setattr(safegp, "_COLUMN_BLOCK", 2)
+        pts = np.array([[-10.0], [-1.0], [0.0], [0.3]])
+        model = gp_fit(KernelSpec(lengthscale=1.0, signal_variance=1.0), 0.1, [[-1.0]], [-0.5])
+        mean, std = gp_posterior(model, pts)
+        safe = np.array([False, False, True, False])
+        lower = mean - std
+        assert lower[0] > lower[3]
+        got = _expanders_modified(
+            safe, (4,), pts, model, mean, std, 1.0, 0.0, posterior_detail(model, pts)[2]
+        )
+        np.testing.assert_array_equal(got, safe)
+        assert self.assert_matches_oracle(pts, (4,), model, mean, std, safe, 1.0, 0.0) == [0, 1]
+
+    def test_thresholds_match_the_direct_condition(self):
+        # c lifts u iff rho - sqrt(1 - rho^2) >= t_u, rho = cov / (sd_c sd_u)
+        rho = np.linspace(-1.0, 1.0, 4001)
+        direct = rho - np.sqrt(1.0 - np.square(rho))
+        ts = np.concatenate([np.linspace(-1.6, 1.2, 57), [-np.sqrt(2), -1.0, 1.0]])
+        sd_u = 0.7
+        safe = np.zeros(ts.size, bool)
+        safe[-1] = True  # safe points are never lifted
+        mean = 1.0 - 2.0 * sd_u * ts
+        need, low = safegp._lift_thresholds(safe, mean, np.full(ts.size, sd_u), 2.0, 1.0)
+        assert need[-1] == np.inf
+        for t, need_u, low_u in zip(ts[:-1], need[:-1], low[:-1]):
+            lifted = (rho * sd_u >= need_u) | (rho * sd_u <= low_u)
+            clear = np.abs(direct - t) > 1e-9
+            np.testing.assert_array_equal(lifted[clear], (direct >= t)[clear])
+            assert (low_u > -np.inf) == (-np.sqrt(2) < t <= -1.0)
+
+
+class TestReferenceExpanders:
+    """``_expanders_modified`` against ``reference_expanders_modified`` at
+    every step of msafeopt runs on the paper's configs."""
+
+    @pytest.mark.parametrize("noise_std", [0.1, 0.0])
+    @pytest.mark.parametrize("config", ["sphere", "styblinski_s1"])
+    def test_same_masks_every_step(self, config, noise_std, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        cfg = harness.load_config(path)
+        cfg["problem"]["noise_std"] = noise_std
+        plan = harness.make_plan(harness.normalize_config(cfg), ["msafeopt"], 1)
+        fast = safegp._expanders_modified
+        masks = []
+
+        def both(*args):
+            got = fast(*args)
+            np.testing.assert_array_equal(got, reference_expanders_modified(*args))
+            masks.append(got)
+            return got
+
+        monkeypatch.setattr(safegp, "_expanders_modified", both)
+        result = harness.run(plan, "msafeopt", 0)
+        assert result.termination == "budget_exhausted"
+        assert len(masks) == len(result.records) - plan.config["problem"]["n_seeds"]
+        assert sum(int(m.sum()) for m in masks) > 0
 
 
 class TestSelectNext:
