@@ -109,6 +109,8 @@ def cmd_report(args) -> int:
     for (algo, _), result in sorted(results.items()):
         if result.records:
             by_algo.setdefault(algo, []).append(result)
+    if not by_algo:
+        raise harness.ConfigError(f"no run in {args.results_dir} has records")
     out = Path(args.out)
     if args.metric == "bsf":
         aggregates = {

@@ -232,7 +232,6 @@ class EaOptimizer:
     ):
         if not seed_observations:
             raise ValueError("need at least one seed observation")
-        self.problem = problem
         self.bounds = np.asarray(problem.objective.bounds, dtype=float)
         self.rng = rng
         self.va_enabled = va_enabled

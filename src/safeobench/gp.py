@@ -80,16 +80,15 @@ class GpModel:
     targets, the model's only weight vector.
     ``extended`` is true when ``chol`` and ``z`` came from appending one
     row to the previous model's rather than from a full factorization.
-    Empty training sets are allowed; the posterior is then the prior
-    everywhere.
+    A model holds at least one training point.
     """
 
     kernel: KernelSpec
     noise_variance: float
     train_points: np.ndarray
     train_targets: np.ndarray
-    chol: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
+    chol: np.ndarray
+    z: np.ndarray
     jitter: float = 0.0
     extended: bool = False
 
@@ -111,7 +110,7 @@ def _extended_fit(prev, kernel, noise_variance, points, targets):
     n = targets.size - 1
     if not (
         prev is not None
-        and prev.n_train == n > 0
+        and prev.n_train == n
         and prev.jitter == 0.0
         and prev.kernel == kernel
         and prev.noise_variance == noise_variance
@@ -147,23 +146,22 @@ def gp_fit(
     ``extended``. Otherwise, and when the extension breaks down, the full
     Gram matrix is factorized, escalating diagonal jitter from 1e-10 to
     1e-6 if the exact Cholesky fails (then :class:`FactorizationError` is
-    raised), and ``z`` comes from one triangular solve.
+    raised), and ``z`` comes from one triangular solve. Raises
+    ``ValueError`` for an empty training set.
     """
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     targets = np.asarray(targets, dtype=float).reshape(-1)
-    if points.size == 0:
-        points = points.reshape(0, max(points.shape[-1], 1) if points.ndim else 1)
     n = targets.size
+    if n == 0:
+        raise ValueError("need at least one training point")
     if points.shape[0] != n:
         raise ValueError(
             f"got {points.shape[0]} training points but {n} targets"
         )
-    if n and not np.all(np.isfinite(targets)):
+    if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
-    if n == 0:
-        return GpModel(kernel, noise_variance, points, targets)
 
     grown = _extended_fit(prev, kernel, noise_variance, points, targets)
     used = 0.0
@@ -202,13 +200,9 @@ def gp_fit(
 def gp_posterior(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation of the latent function.
 
-    Returns arrays of shape (m,) for an (m, d) query array: the prior for
-    an empty model, ``posterior_detail``'s mean and std otherwise.
+    Returns ``posterior_detail``'s mean and std, arrays of shape (m,) for
+    an (m, d) query array.
     """
-    if model.n_train == 0:
-        m = np.atleast_2d(np.asarray(queries, dtype=float)).shape[0]
-        s = float(np.sqrt(model.kernel.signal_variance))
-        return np.zeros(m), np.full(m, s)
     mean, std, _ = posterior_detail(model, queries)
     return mean, std
 
@@ -218,12 +212,9 @@ def posterior_detail(model: GpModel, queries):
 
     V lets callers form posterior cross-covariances between query subsets
     without re-solving: cov(a, b | data) = k(a, b) - V_a^T V_b. Variance
-    is clamped at zero before the square root. Only valid for fitted
-    models with at least one training point.
+    is clamped at zero before the square root.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if model.n_train == 0:
-        raise ValueError("posterior_detail needs a non-empty training set")
     kq = kernel_matrix(model.kernel, model.train_points, queries)
     v = solve_triangular(model.chol, kq, lower=True, check_finite=False)
     mean = model.z @ v
@@ -266,6 +257,3 @@ class TargetTransform:
 
     def forward(self, y) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.shift) / self.scale
-
-    def inverse(self, z) -> np.ndarray:
-        return np.asarray(z, dtype=float) * self.scale + self.shift

@@ -156,11 +156,17 @@ CONFIG_SCHEMA = {
     # sqrt(signal_variance) <= 1e3) in the bounds mean +- beta * std, and
     # the expander test divides each margin h - mean by beta * std; the
     # range keeps both far inside the float range (a zero beta * std is
-    # a bound no observation moves, which the test handles).
+    # a bound no observation moves, which the test handles). A nonzero
+    # std is at least about 1e-83 (the square root of signal_variance
+    # times the float epsilon), so a positive beta of at least 1e-150
+    # keeps that quotient finite, where a subnormal one overflows it.
     "gp": {
         "lengthscale": (1.0, _real(lambda x: 1e-150 <= x <= 1e150, " in [1e-150, 1e150]")),
         "signal_variance": (4.0, _real(lambda x: 1e-150 <= x <= 1e6, " in [1e-150, 1e6]")),
-        "beta": (2.0, _real(lambda x: 0 <= x <= 1e6, " in [0, 1e6]")),
+        "beta": (
+            2.0,
+            _real(lambda x: x == 0 or 1e-150 <= x <= 1e6, " 0 or in [1e-150, 1e6]"),
+        ),
     },
     "ea": {
         "crossover_prob": (0.8, _PROBABILITY),

@@ -2,8 +2,9 @@
 
 Objectives are noiseless, deterministic maximization targets on a box
 domain. Evaluation noise, safety thresholds and budgets are layered on
-top by :mod:`safeobench.safeop`. New objectives can be added through the
-name-keyed registry without touching any algorithm code.
+top by :mod:`safeobench.safeop`. The objectives are the rows of one
+name-keyed table; a new row adds an objective without touching any
+algorithm code.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "Scenario",
     "Objective",
-    "register_objective",
     "make_objective",
     "objective_names",
     "sphere_eval",
@@ -48,7 +48,7 @@ class Objective:
     Parameters
     ----------
     name : str
-        Registry key, e.g. ``"sphere"``.
+        Table key, e.g. ``"sphere"``.
     dimension : int
         Number of decision variables, >= 1.
     bounds : tuple of (lo, hi)
@@ -148,80 +148,46 @@ def _styblinski_batch(xs: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(xs**4 - 16.0 * xs**2 + 5.0 * xs, axis=1)
 
 
-_REGISTRY: dict[str, Callable[..., Objective]] = {}
-
-
-def register_objective(name: str):
-    """Decorator registering an objective factory under ``name``."""
-
-    def wrap(factory: Callable[..., Objective]) -> Callable[..., Objective]:
-        _REGISTRY[name] = factory
-        return factory
-
-    return wrap
+# name -> (fn, batch_fn, per-axis location of the global maximum); the
+# Styblinski-Tang location to the precision usually quoted for it.
+_OBJECTIVES = {
+    "sphere": (sphere_eval, _sphere_batch, 0.0),
+    "styblinski-tang": (styblinski_tang_eval, _styblinski_batch, -2.903534),
+}
 
 
 def objective_names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def _default_bounds(dimension: int) -> tuple[tuple[float, float], ...]:
-    return tuple((-5.0, 5.0) for _ in range(dimension))
-
-
-@register_objective("sphere")
-def _make_sphere(dimension: int = 2, bounds=None) -> Objective:
-    bounds = tuple(map(tuple, bounds)) if bounds else _default_bounds(dimension)
-    loc = tuple(0.0 for _ in range(dimension))
-    return Objective(
-        name="sphere",
-        dimension=dimension,
-        bounds=bounds,
-        fn=sphere_eval,
-        batch_fn=_sphere_batch,
-        optimum_location=loc,
-        optimum_value=0.0,
-    )
-
-
-# Per-axis location of the global maximum, to the precision usually quoted
-# for this function.
-_STYBLINSKI_ARGMAX = -2.903534
-
-
-@register_objective("styblinski-tang")
-def _make_styblinski(dimension: int = 2, bounds=None) -> Objective:
-    bounds = tuple(map(tuple, bounds)) if bounds else _default_bounds(dimension)
-    loc = tuple(_STYBLINSKI_ARGMAX for _ in range(dimension))
-    # Store the value actually attained at the stored location so the two
-    # fields stay mutually consistent to full float precision.
-    value = styblinski_tang_eval(np.asarray(loc))
-    return Objective(
-        name="styblinski-tang",
-        dimension=dimension,
-        bounds=bounds,
-        fn=styblinski_tang_eval,
-        batch_fn=_styblinski_batch,
-        optimum_location=loc,
-        optimum_value=value,
-    )
+    return sorted(_OBJECTIVES)
 
 
 def make_objective(name: str, dimension: int = 2, bounds=None) -> Objective:
-    """Build a registered objective by name.
+    """Build a tabled objective by name, on [-5, 5] per axis by default.
+
+    The optimum value is the one attained at the optimum location, so the
+    two fields agree to full float precision (``+ 0.0`` turns the sphere's
+    ``-0.0`` into ``0.0``).
 
     Raises
     ------
     ValueError
-        If ``name`` is not registered.
+        If ``name`` is not in the table.
     """
     try:
-        factory = _REGISTRY[name]
+        fn, batch_fn, argmax = _OBJECTIVES[name]
     except KeyError:
         raise ValueError(
             f"unknown objective {name!r}; registered: {objective_names()}"
         ) from None
-    return factory(dimension=dimension, bounds=bounds)
+    loc = (argmax,) * dimension
+    return Objective(
+        name=name,
+        dimension=dimension,
+        bounds=tuple(map(tuple, bounds)) if bounds else ((-5.0, 5.0),) * dimension,
+        fn=fn,
+        batch_fn=batch_fn,
+        optimum_location=loc,
+        optimum_value=fn(np.asarray(loc)) + 0.0,
+    )
 
 
 def scenario_mask(scenario: Scenario, points: np.ndarray) -> np.ndarray:
@@ -242,9 +208,8 @@ def scenario_mask(scenario: Scenario, points: np.ndarray) -> np.ndarray:
         return (x1 < 0) & (x2 > 0)
     if scenario is Scenario.S2_BOTTOM_RIGHT:
         return (x1 > 0) & (x2 < 0)
-    if scenario is Scenario.S3:
-        return ((x1 < 0) & (x2 > 0)) | ((x1 > 0) & (x2 < 0))
-    raise ValueError(f"unknown scenario {scenario!r}")
+    # S3, the last member: Scenario() above rejected anything else.
+    return ((x1 < 0) & (x2 > 0)) | ((x1 > 0) & (x2 < 0))
 
 
 def validate_scenario(scenario: Scenario, objective: Objective) -> None:

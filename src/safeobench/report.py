@@ -37,19 +37,13 @@ class AggregateSeries:
 
     Early-terminated runs are padded by carrying their last BSF value
     forward; ``padded_frac[t]`` is the fraction of runs padded at step t.
-    ``warn_single_run`` flags aggregates over fewer than 2 runs, where
-    the standard error is undefined and reported as 0.
+    Over a single run the standard error is undefined and reported as 0.
     """
 
     mean: np.ndarray
     se: np.ndarray
     n_runs: int
     padded_frac: np.ndarray
-    warn_single_run: bool = False
-
-    @property
-    def padded_mask(self) -> np.ndarray:
-        return self.padded_frac > 0
 
 
 @dataclass
@@ -93,16 +87,13 @@ def aggregate_bsf(results: Sequence[RunResult], eval_budget: int) -> AggregateSe
     mean = data.mean(axis=0)
     if n >= 2:
         se = data.std(axis=0, ddof=1) / np.sqrt(n)
-        warn = False
     else:
         se = np.zeros(eval_budget)
-        warn = True
     return AggregateSeries(
         mean=mean,
         se=se,
         n_runs=n,
         padded_frac=pad.mean(axis=0),
-        warn_single_run=warn,
     )
 
 
@@ -203,8 +194,6 @@ def _widen(lo: float) -> float:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = _widen(lo)
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -460,7 +460,6 @@ class SafeGpOptimizer:
                 raise ValueError(f"{variant} requires a positive lipschitz constant")
         else:
             self.lipschitz = 0.0
-        self.problem = problem
         self.grid = problem.grid
         self.kernel = kernel or KernelSpec()
         self.beta = float(beta)

@@ -13,7 +13,7 @@ runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -64,9 +64,6 @@ class Grid:
     points: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._index: Optional[dict[tuple[float, ...], int]] = None
-
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.axes)
@@ -79,44 +76,28 @@ class Grid:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(a[0]), float(a[-1])) for a in self.axes)
-
     def index_of(self, point: Sequence[float]) -> int:
-        """Exact index lookup for a point that is a grid node."""
-        if self._index is None:
-            self._index = {
-                tuple(p): i for i, p in enumerate(self.points.tolist())
-            }
+        """Exact index lookup for a point that is a grid node.
+
+        Where nodes coincide in floating point, the last of them.
+        """
         key = tuple(float(c) for c in point)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"{key} is not a grid node") from None
+        if len(key) == self.dimension:
+            hits = np.flatnonzero((self.points == key).all(axis=1))
+            if hits.size:
+                return int(hits[-1])
+        raise KeyError(f"{key} is not a grid node")
 
 
-def discretize(objective: Objective, nodes_per_axis) -> Grid:
+def discretize(objective: Objective, nodes_per_axis: int) -> Grid:
     """Uniformly discretize an objective's box domain and cache its values.
 
-    Parameters
-    ----------
-    objective : Objective
-    nodes_per_axis : int or sequence of int
-        Node count per axis (>= 2); endpoints are always included.
+    ``nodes_per_axis`` (>= 2) nodes on every axis, endpoints included.
     """
-    d = objective.dimension
-    if np.isscalar(nodes_per_axis):
-        counts = [int(nodes_per_axis)] * d
-    else:
-        counts = [int(n) for n in nodes_per_axis]
-        if len(counts) != d:
-            raise ValueError(f"expected {d} axis counts, got {len(counts)}")
-    if any(n < 2 for n in counts):
-        raise ValueError(f"nodes_per_axis must be >= 2, got {counts}")
-    axes = tuple(
-        np.linspace(lo, hi, n) for (lo, hi), n in zip(objective.bounds, counts)
-    )
+    n = int(nodes_per_axis)
+    if n < 2:
+        raise ValueError(f"nodes_per_axis must be >= 2, got {n}")
+    axes = tuple(np.linspace(lo, hi, n) for lo, hi in objective.bounds)
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=1)
     values = objective.eval_batch(points)
@@ -132,8 +113,6 @@ def percentile_threshold(grid: Grid, k: float) -> float:
     if not 0.0 < k <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {k}")
     n = grid.values.size
-    if n == 0:
-        raise RuntimeError("grid has no cached values")
     rank = math.ceil(k * n / 100.0)
     return float(np.sort(grid.values)[rank - 1])
 
@@ -144,19 +123,20 @@ def estimate_lipschitz(grid: Grid) -> float:
     Gradients use central finite differences of the cached values in the
     interior and one-sided differences at the boundaries; the returned
     constant is the maximum Euclidean norm over all nodes. Nodes that
-    coincide in floating point give a non-finite estimate, which
+    coincide in floating point, or lie so close that a difference
+    quotient or its square overflows, give a non-finite estimate, which
     ``harness.make_plan`` rejects for the variants that use it.
     """
     shape = grid.shape
     values = grid.values.reshape(shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if len(shape) == 1:
             grads = [np.gradient(values, grid.axes[0])]
         else:
             grads = np.gradient(values, *grid.axes)
-    sq = np.zeros(shape)
-    for g in grads:
-        sq += np.square(g)
+        sq = np.zeros(shape)
+        for g in grads:
+            sq += np.square(g)
     return float(np.sqrt(sq.max()))
 
 
@@ -164,16 +144,15 @@ def estimate_lipschitz(grid: Grid) -> float:
 class SafeOpProblem:
     """A safe optimization problem over a discretized box domain.
 
-    ``threshold`` must equal the nearest-rank ``percentile`` of the grid
-    values; use :func:`make_problem` (or the harness config loader) to
-    construct instances consistently. ``safety_budget=None`` means
+    ``threshold`` is derived at construction: the nearest-rank
+    ``percentile`` of the grid values. ``safety_budget=None`` means
     unlimited. Immutable by convention; share freely across runs.
     """
 
     objective: Objective
     grid: Grid
     noise_std: float
-    threshold: float
+    threshold: float = field(init=False)
     percentile: float
     eval_budget: int
     safety_budget: Optional[int] = None
@@ -187,10 +166,7 @@ class SafeOpProblem:
             raise ValueError("eval_budget must be >= 1")
         if self.safety_budget is not None and self.safety_budget < 0:
             raise ValueError("safety_budget must be >= 0 or None")
-        if self.threshold != percentile_threshold(self.grid, self.percentile):
-            raise ValueError(
-                "threshold must equal the stated percentile of the grid values"
-            )
+        self.threshold = percentile_threshold(self.grid, self.percentile)
         self.scenario = Scenario(self.scenario)
         validate_scenario(self.scenario, self.objective)
         self._lipschitz: Optional[float] = None
@@ -205,7 +181,7 @@ class SafeOpProblem:
 
 def make_problem(
     objective: Objective,
-    nodes_per_axis,
+    nodes_per_axis: int,
     percentile: float,
     noise_std: float,
     eval_budget: int,
@@ -213,14 +189,11 @@ def make_problem(
     seed_confidence: float = 1.96,
     scenario: Scenario = Scenario.NONE,
 ) -> SafeOpProblem:
-    """Discretize an objective and set its percentile safety threshold."""
-    grid = discretize(objective, nodes_per_axis)
-    h = percentile_threshold(grid, percentile)
+    """Discretize an objective into a safe optimization problem."""
     return SafeOpProblem(
         objective=objective,
-        grid=grid,
+        grid=discretize(objective, nodes_per_axis),
         noise_std=noise_std,
-        threshold=h,
         percentile=percentile,
         eval_budget=eval_budget,
         safety_budget=safety_budget,

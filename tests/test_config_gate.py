@@ -40,6 +40,7 @@ BAD_VALUES = [
     "gp.beta=-1",
     "problem.noise_std=1e300",
     "gp.beta=1e7",
+    "gp.beta=1e-200",
     "ea.crossover_prob=2",
     "ea.retry_cap=-1",
 ]
@@ -206,6 +207,12 @@ LOW_THRESHOLD = {"nodes_per_axis": 6, "eval_budget": 12, "percentile": 1.0}
 @example(raw={"problem": {**EDGE, "noise_std": 7.3e153}})
 @example(raw={"problem": LOW_THRESHOLD, "gp": {"beta": 1e6, "lengthscale": 1e6}})
 @example(raw={"problem": LOW_THRESHOLD, "gp": {"beta": 5.7e307, "lengthscale": 1e6}})
+# a subnormal beta (the expander test's margin / (beta * std) overflowed)
+# and an axis so short that the Lipschitz estimate's squares overflowed
+@example(raw={"problem": {"dimension": 3, "nodes_per_axis": 6, "n_seeds": 2},
+              "gp": {"beta": 5e-324}})
+@example(raw={"problem": {"bounds": [[0.0, 21171.0], [-6.278131143047874e-161, 0.0]],
+                          "nodes_per_axis": 6, "n_seeds": 2}})
 @example(raw={"problem": {**EDGE, "objective": "styblinski-tang", "bounds": [[-1e6, 1e6]] * 2}})
 @example(raw={"problem": {**EDGE, "objective": "styblinski-tang", "bounds": [[-1e300, 1e300]] * 2}})
 def test_accepted_configs_run_end_to_end(raw):

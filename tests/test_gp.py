@@ -44,11 +44,10 @@ def random_instance(rng, n_train, n_query=6, dim=2):
 
 
 class TestFit:
-    def test_empty_training_set_is_prior(self):
-        model = gp_fit(KernelSpec(signal_variance=4.0), 0.1, [], [])
-        mean, std = gp_posterior(model, [[0.0, 0.0], [3.0, 1.0]])
-        assert np.all(mean == 0.0)
-        assert np.allclose(std, 2.0)
+    def test_empty_training_set_rejected(self):
+        for points in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="at least one"):
+                gp_fit(KernelSpec(), 0.1, points, [])
 
     def test_single_noiseless_point_interpolates(self):
         model = gp_fit(KernelSpec(), 0.0, [[1.0, 2.0]], [5.0])
@@ -198,24 +197,12 @@ class TestPosterior:
 
 
 class TestConfidenceBounds:
-    def test_prior_only_unit_signal(self):
-        # bounds mean +- beta*std are +-beta under a unit-variance prior
-        model = gp_fit(KernelSpec(signal_variance=1.0), 0.1, [], [])
-        mean, std = gp_posterior(model, [[0.0, 0.0], [2.0, 2.0]])
-        np.testing.assert_allclose(mean, 0.0)
-        np.testing.assert_allclose(std, 1.0)
-
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError, match="gp.beta"):
             normalize_config({"gp": {"beta": -1.0}})
 
 
 class TestTargetTransform:
-    def test_roundtrip(self):
-        t = TargetTransform.from_observations([1.0, 3.0, 5.0])
-        ys = np.array([-2.0, 0.0, 7.5])
-        np.testing.assert_allclose(t.inverse(t.forward(ys)), ys, atol=1e-12)
-
     def test_standardizes_seed_observations(self):
         ys = np.array([4.0, 6.0, 8.0, 2.0])
         t = TargetTransform.from_observations(ys)

@@ -615,6 +615,34 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "bsf.csv").exists()
 
+    @pytest.mark.parametrize("metric,fmt", [
+        ("bsf", "csv"), ("bsf", "svg"), ("unsafe", "csv"), ("unsafe", "svg"),
+        ("trajectory", "csv"),
+    ])
+    def test_report_on_all_failed_runs_exits_2(
+        self, metric, fmt, tmp_path, capsys, monkeypatch
+    ):
+        # every run fails, so each is saved as a header-only CSV
+        from safeobench import safegp
+
+        def fail(self, oracle):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(safegp.SafeGpOptimizer, "step", fail)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"problem": {"nodes_per_axis": 10, "eval_budget": 5, "n_seeds": 2}}
+        ))
+        outdir = tmp_path / "bench"
+        args = ["benchmark", str(path), "--algos", "msafeopt", "--runs", "2"]
+        assert cli.main([*args, "--out", str(outdir)]) == 0
+        assert (outdir / "msafeopt_run1.csv").read_text().count("\n") == 1
+        out = tmp_path / f"report.{fmt}"
+        args = ["report", str(outdir), "--metric", metric, "--format", fmt]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert "no run" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_set_overrides(self, tmp_path, capsys):
         rc = cli.main(
             [

@@ -2,17 +2,21 @@
 
 Runs all six algorithms, two runs each with an evaluation budget of 50,
 on both paper configs, writes the results directory and the five report
-files, and compares their SHA-256 digests with those recorded in
-``pinned_outputs.json``. The manifest is compared with its wall times
-removed. Float results depend on the numpy and scipy builds, so the test
-skips when their versions differ from the recorded ones.
+files, prints ``problem inspect`` for each config (and for
+Styblinski-Tang under scenario s3), and compares their SHA-256 digests
+with those recorded in ``pinned_outputs.json``. The manifest is compared
+with its wall times removed. Float results depend on the numpy and scipy
+builds, so the test skips when their versions differ from the recorded
+ones.
 
 A change that alters outputs on purpose records new digests with::
 
     PYTHONPATH=src python tests/test_pinned_outputs.py --write
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -32,6 +36,11 @@ REPORTS = (
     ("unsafe", "csv"),
     ("unsafe", "svg"),
     ("trajectory", "csv"),
+)
+INSPECTS = (
+    ("sphere", ()),
+    ("styblinski_s1", ()),
+    ("styblinski_s1", ("--set", "problem.scenario=s3")),
 )
 
 
@@ -61,6 +70,13 @@ def output_digests(workdir: Path) -> dict:
             files[f"{metric}.{fmt}"] = out.read_bytes()
         for key, data in files.items():
             digests[f"{name}/{key}"] = hashlib.sha256(data).hexdigest()
+    for name, overrides in INSPECTS:
+        config = ROOT / "configs" / f"{name}.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["problem", "inspect", str(config), *overrides]) == 0
+        key = " ".join([f"{name}/inspect", *overrides])
+        digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return digests
 
 

@@ -189,6 +189,15 @@ class TestRegistry:
         assert obj.dimension == 3
         assert obj.bounds == ((-1, 1), (-1, 1), (-1, 1))
 
+    def test_default_bounds_and_optimum(self):
+        sphere = make_objective("sphere", dimension=3)
+        assert sphere.bounds == ((-5.0, 5.0),) * 3
+        assert sphere.optimum_location == (0.0,) * 3
+        assert np.copysign(1.0, sphere.optimum_value) == 1.0  # 0.0, not -0.0
+        st_obj = make_objective("styblinski-tang")
+        assert st_obj.optimum_location == (-2.903534, -2.903534)
+        assert st_obj.optimum_value == st_obj.eval(st_obj.optimum_location)
+
 
 class TestScenarios:
     def test_s1_membership(self):

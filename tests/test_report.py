@@ -37,7 +37,7 @@ class TestAggregateBsf:
         agg = aggregate_bsf(results, 3)
         np.testing.assert_array_equal(agg.se, np.zeros(3))
         np.testing.assert_array_equal(agg.mean, [1.0, 2.0, 3.0])
-        assert not agg.padded_mask.any()
+        np.testing.assert_array_equal(agg.padded_frac, np.zeros(3))
 
     def test_two_run_standard_error(self):
         # final BSF 0 and -2: mean -1, sd = sqrt(2), se = sqrt(2)/sqrt(2) = 1
@@ -53,12 +53,11 @@ class TestAggregateBsf:
         ]
         agg = aggregate_bsf(results, 4)
         np.testing.assert_array_equal(agg.padded_frac, [0.0, 0.0, 0.5, 0.5])
-        np.testing.assert_array_equal(agg.padded_mask, [False, False, True, True])
         assert agg.mean[3] == pytest.approx((2.0 + 1.5) / 2)
 
     def test_single_run_warns_instead_of_failing(self):
         agg = aggregate_bsf([make_result([1.0, 2.0])], 2)
-        assert agg.warn_single_run
+        assert agg.n_runs == 1
         np.testing.assert_array_equal(agg.se, np.zeros(2))
 
     def test_mean_series_nondecreasing(self):

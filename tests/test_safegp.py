@@ -233,10 +233,7 @@ class TestGpSafeSetUpdate:
 
     def test_prior_only_wide_threshold(self):
         # zero-mean prior with s = 1, beta = 2: l = -2 >= h = -3 everywhere
-        model = gp_fit(KernelSpec(signal_variance=1.0), 0.1, [], [])
-        q = np.linspace(-5, 5, 11).reshape(-1, 1)
-        mean, std = gp_posterior(model, q)
-        bounds = fake_bounds(mean - 2 * std, mean + 2 * std)
+        bounds = fake_bounds(np.full(11, -2.0), np.full(11, 2.0))
         prev = np.zeros(11, bool)
         prev[5] = True
         assert update_safe_set_gp(prev, bounds, -3.0).all()

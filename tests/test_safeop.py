@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safeobench.harness import build_problem, normalize_config
 from safeobench.problems import Objective, Scenario, make_objective
 from safeobench.safeop import (
     Grid,
@@ -82,11 +83,26 @@ class TestDiscretize:
             discretize(make_objective("sphere"), 1)
 
     def test_index_of(self):
-        grid = discretize(make_objective("sphere"), 7)
-        for i in (0, 13, 48):
-            assert grid.index_of(tuple(grid.points[i])) == i
-        with pytest.raises(KeyError):
-            grid.index_of((0.123, 0.456))
+        grid = discretize(make_objective("sphere"), 100)
+        for i, p in enumerate(grid.points.tolist()):
+            assert grid.index_of(p) == i
+        # (-5.0,) would match node 0 if broadcast against its two columns
+        for off in ((0.123, 0.456), (-5.0,), (-5.0, -5.0, -5.0), (np.nan, -5.0)):
+            with pytest.raises(KeyError):
+                grid.index_of(off)
+
+    def test_index_of_coinciding_nodes(self):
+        # a config the gate accepts whose 10,000 nodes round to 100 distinct
+        # points; each lookup returns the last index holding its point, as
+        # a point -> index dict filled in grid order does
+        cfg = normalize_config({"problem": {
+            "bounds": [[-1e6, -1e6 + 1e-9]] * 2, "nodes_per_axis": 100,
+        }})
+        grid = build_problem(cfg).grid
+        last = {tuple(p): i for i, p in enumerate(grid.points.tolist())}
+        assert len(last) == 100
+        for p in grid.points.tolist():
+            assert grid.index_of(p) == last[tuple(p)]
 
 
 class TestPercentileThreshold:
@@ -173,8 +189,18 @@ def small_problem(**kw):
 
 class TestProblemConstruction:
     def test_threshold_matches_percentile(self):
-        prob = small_problem()
-        assert prob.threshold == percentile_threshold(prob.grid, prob.percentile)
+        for k in (95.0, 37.5):
+            prob = small_problem(percentile=k)
+            assert prob.threshold == percentile_threshold(prob.grid, k)
+        with pytest.raises(TypeError):
+            SafeOpProblem(
+                objective=prob.objective,
+                grid=prob.grid,
+                noise_std=0.1,
+                threshold=prob.threshold,
+                percentile=37.5,
+                eval_budget=10,
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,18 +216,6 @@ class TestProblemConstruction:
         prob = small_problem()
         assert prob.lipschitz == prob.lipschitz
         assert prob.lipschitz == pytest.approx(2 * math.sqrt(50), rel=0.02)
-
-    def test_inconsistent_threshold_rejected(self):
-        grid = discretize(make_objective("sphere"), 20)
-        with pytest.raises(ValueError, match="percentile"):
-            SafeOpProblem(
-                objective=make_objective("sphere"),
-                grid=grid,
-                noise_std=0.1,
-                threshold=123.0,
-                percentile=95.0,
-                eval_budget=10,
-            )
 
 
 class TestSampleSafeSeeds:
