@@ -37,8 +37,12 @@ __all__ = [
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
-class FactorizationError(RuntimeError):
-    """Gram matrix could not be factorized even with maximal jitter."""
+class FactorizationError(np.linalg.LinAlgError):
+    """Gram matrix could not be factorized even with maximal jitter.
+
+    A ``LinAlgError``, so that callers catch it without importing this
+    module (and scipy).
+    """
 
 
 @dataclass(frozen=True)

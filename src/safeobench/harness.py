@@ -11,14 +11,26 @@ derived from a single master seed through named streams, so identical
 plans reproduce byte-identical output regardless of execution order or
 parallelism. Each run is persisted as one CSV of per-step records plus
 an entry in a benchmark-level JSON manifest.
+
+This module imports neither the GP stack (``gp``, ``safegp``) nor scipy,
+so an EA-only benchmark and ``report`` never load them. ``make_plan``
+imports ``safegp`` when the plan holds a GP variant, in the caller's
+process, so the workers ``benchmark`` forks inherit it;
+``_build_optimizer`` takes the optimizer class from there. ``benchmark``
+starts at most one worker per run, and each worker, through its
+initializer, sets every bundled OpenBLAS it has loaded to one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib
 import json
 import logging
 import math
+import os
+import sys
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -30,11 +42,17 @@ import numpy as np
 
 from . import __version__
 from .ea import EaOptimizer, EaParams
-from .gp import KernelSpec
 from .problems import Scenario, make_objective, validate_scenario
-from .safeop import Observation, Oracle, SafeOpProblem, make_problem, sample_safe_seeds
-from .safegp import LIPSCHITZ_VARIANTS, SafeGpOptimizer, StalledAlgorithmError
-from .safegp import VARIANTS as GP_VARIANTS
+from .safeop import (
+    GP_VARIANTS,
+    LIPSCHITZ_VARIANTS,
+    Observation,
+    Oracle,
+    SafeOpProblem,
+    StalledAlgorithmError,
+    make_problem,
+    sample_safe_seeds,
+)
 
 __all__ = [
     "ALGORITHMS",
@@ -361,6 +379,11 @@ def make_plan(cfg: dict, algorithms: Sequence[str], n_runs: int) -> BenchmarkPla
             f"{', '.join(certified)} need a finite positive Lipschitz "
             f"estimate, got {problem.lipschitz} on this grid"
         )
+    if any(name in GP_VARIANTS for name in algorithms):
+        # The GP stack, and scipy with it, is imported here, in the caller's
+        # process, so that the workers ``benchmark`` forks inherit it rather
+        # than each importing it. EA-only plans never import it.
+        importlib.import_module(".safegp", __package__)
     p = cfg["problem"]
     return BenchmarkPlan(
         algorithms=algorithms,
@@ -386,6 +409,9 @@ def _build_optimizer(
             params=EaParams(mu=len(seed_obs), lam=len(seed_obs), **cfg["ea"]),
             va_enabled=(name == "va-ea"),
         )
+    from .gp import KernelSpec
+    from .safegp import SafeGpOptimizer
+
     g = cfg["gp"]
     return SafeGpOptimizer(
         variant=name,
@@ -454,19 +480,78 @@ def _run_task(plan: BenchmarkPlan, key: tuple[str, int]) -> RunResult:
         )
 
 
+# Thread-count setters of the OpenBLAS builds that numpy's and scipy's
+# wheels bundle in ``numpy.libs/`` and ``scipy.libs/``.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
+
+
+def _loaded_blas_setters() -> list[tuple[str, str]]:
+    """(library path, setter symbol) of each bundled OpenBLAS this process
+    has loaded: numpy's, and scipy's once scipy is imported.
+
+    ``RTLD_NOLOAD`` only finds a library that is already loaded, so the
+    lookup loads nothing.
+    """
+    found = []
+    for package in ("numpy", "scipy"):
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        libdir = Path(module.__file__).resolve().parent.parent / f"{package}.libs"
+        for path in sorted(libdir.glob("*openblas*.so*")) if libdir.is_dir() else ():
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            symbol = next((s for s in _BLAS_THREAD_SETTERS if hasattr(lib, s)), None)
+            if symbol is not None:
+                found.append((str(path), symbol))
+    return found
+
+
+def _one_blas_thread(setters: list[tuple[str, str]]) -> None:
+    """Pool worker initializer: one thread for each OpenBLAS in ``setters``.
+
+    Each worker already runs one task at a time on its own core; a BLAS
+    thread pool per worker only oversubscribes the cores.
+    """
+    for path, symbol in setters:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:  # not loaded: a worker started by spawn, not forked
+            continue
+        setter = getattr(lib, symbol)
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
 def benchmark(
     plan: BenchmarkPlan, n_jobs: int = 1
 ) -> dict[tuple[str, int], RunResult]:
     """Run every (algorithm, run index) pair of the plan.
 
     Individual run failures are recorded in their RunResult; the rest of
-    the benchmark still completes. Output is independent of n_jobs.
+    the benchmark still completes. Output is independent of n_jobs. With
+    ``n_jobs > 1`` the runs go to at most ``n_jobs`` worker processes, no
+    more than there are runs, each with one BLAS thread; the caller's own
+    BLAS settings are left alone.
     """
     keys = [(algo, i) for algo in plan.algorithms for i in range(plan.n_runs)]
     task = functools.partial(_run_task, plan)
     if n_jobs <= 1:
         return dict(zip(keys, map(task, keys)))
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    setters = _loaded_blas_setters()
+    if not setters:
+        log.info("no bundled OpenBLAS is loaded; workers keep the default BLAS threads")
+    with ProcessPoolExecutor(
+        max_workers=min(n_jobs, len(keys)),
+        initializer=_one_blas_thread,
+        initargs=(setters,),
+    ) as pool:
         return dict(zip(keys, pool.map(task, keys)))
 
 

@@ -66,7 +66,14 @@ from .gp import (
     kernel_matrix,
     posterior_detail,
 )
-from .safeop import Observation, Oracle, SafeOpProblem
+from .safeop import GP_VARIANTS as VARIANTS
+from .safeop import (
+    LIPSCHITZ_VARIANTS,
+    Observation,
+    Oracle,
+    SafeOpProblem,
+    StalledAlgorithmError,
+)
 
 __all__ = [
     "VARIANTS",
@@ -80,8 +87,6 @@ __all__ = [
     "boundary_candidates",
 ]
 
-VARIANTS = ("safeopt", "safe-ucb", "msafeopt", "msafe-ucb")
-LIPSCHITZ_VARIANTS = ("safeopt", "safe-ucb")
 _WIDTH_VARIANTS = ("safeopt", "msafeopt")  # the others select by UCB
 
 # Posterior variance below this is treated as an already-known point when
@@ -92,10 +97,6 @@ _VAR_FLOOR = 1e-12
 _FIRST_BLOCK = 128
 _COLUMN_BLOCK = 2048
 _SQRT2 = math.sqrt(2.0)
-
-
-class StalledAlgorithmError(RuntimeError):
-    """Safe set became empty; the algorithm cannot propose a point."""
 
 
 def update_safe_set_lipschitz(

@@ -29,6 +29,9 @@ __all__ = [
     "TerminationReason",
     "TerminatedRunError",
     "InfeasibleScenarioError",
+    "StalledAlgorithmError",
+    "GP_VARIANTS",
+    "LIPSCHITZ_VARIANTS",
     "discretize",
     "percentile_threshold",
     "estimate_lipschitz",
@@ -49,6 +52,18 @@ class TerminatedRunError(RuntimeError):
 
 class InfeasibleScenarioError(ValueError):
     """Raised when a seed-sampling region holds fewer points than requested."""
+
+
+class StalledAlgorithmError(RuntimeError):
+    """Safe set became empty; the algorithm cannot propose a point."""
+
+
+# The GP-based optimizers of ``safegp``, and those of them that certify
+# safety through the Lipschitz estimate. Named here, in a module that does
+# not import scipy, so that the harness and the CLI can list and check
+# them without importing the GP stack.
+GP_VARIANTS = ("safeopt", "safe-ucb", "msafeopt", "msafe-ucb")
+LIPSCHITZ_VARIANTS = ("safeopt", "safe-ucb")
 
 
 @dataclass
@@ -79,13 +94,19 @@ class Grid:
     def index_of(self, point: Sequence[float]) -> int:
         """Exact index lookup for a point that is a grid node.
 
-        Where nodes coincide in floating point, the last of them.
+        Where nodes coincide in floating point, the last of them. One
+        binary search per axis: the axes are sorted and ``points`` is
+        their row-major product.
         """
         key = tuple(float(c) for c in point)
         if len(key) == self.dimension:
-            hits = np.flatnonzero((self.points == key).all(axis=1))
-            if hits.size:
-                return int(hits[-1])
+            # the last axis node <= c; -1 when c is below the whole axis
+            index = [
+                int(np.searchsorted(axis, c, side="right")) - 1
+                for axis, c in zip(self.axes, key)
+            ]
+            if all(i >= 0 and axis[i] == c for axis, c, i in zip(self.axes, key, index)):
+                return int(np.ravel_multi_index(index, self.shape))
         raise KeyError(f"{key} is not a grid node")
 
 

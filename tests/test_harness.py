@@ -1,9 +1,11 @@
 import csv
+import ctypes
 import json
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,16 @@ def fast_problem(fast_cfg):
 @pytest.fixture(scope="module")
 def fast_plan(fast_cfg):
     return make_plan(fast_cfg, list(harness.ALGORITHMS), 1)
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this checkout."""
+    src = str(Path(safeobench.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def record(step, unsafe=False, f=0.0):
@@ -217,6 +229,92 @@ class TestBenchmark:
         assert results[("va-ea", 0)].termination == "budget_exhausted"
         assert results[("va-ea", 1)].termination == "failed"
         assert "boom" in results[("va-ea", 1)].error
+
+
+def _bundled_blas_threads() -> dict[str, int]:
+    """Thread count of each OpenBLAS that numpy's and scipy's wheels bundle."""
+    counts = {}
+    for package in ("numpy", "scipy"):
+        libdir = Path(sys.modules[package].__file__).resolve().parents[1] / f"{package}.libs"
+        for path in sorted(libdir.glob("*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+                if hasattr(lib, symbol):
+                    getter = getattr(lib, symbol)
+                    getter.restype = ctypes.c_int
+                    counts[path.name] = getter()
+    return counts
+
+
+class TestPool:
+    def test_workers_run_one_blas_thread(self, fast_cfg, monkeypatch):
+        import scipy.linalg  # noqa: F401 - loads scipy's OpenBLAS too
+
+        before = _bundled_blas_threads()
+        if not before:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+
+        def report_threads(plan, algorithm, run_index):
+            return RunResult(algorithm, run_index, [], "done",
+                             diagnostics=[_bundled_blas_threads()])
+
+        # The forked workers inherit the patched module.
+        monkeypatch.setattr(harness, "run", report_threads)
+        results = benchmark(make_plan(fast_cfg, ["va-ea"], 3), n_jobs=2)
+        for result in results.values():
+            assert result.diagnostics == [dict.fromkeys(before, 1)]
+        assert _bundled_blas_threads() == before  # the caller's are left alone
+
+    def test_pool_capped_at_task_count(self, fast_cfg, monkeypatch):
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        benchmark(make_plan(fast_cfg, ["va-ea"], 1), n_jobs=8)
+        benchmark(make_plan(fast_cfg, ["va-ea", "unsafe-ea"], 2), n_jobs=3)
+        assert sizes == [1, 3]
+
+
+class TestImports:
+    def test_ea_benchmark_and_report_never_import_scipy(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST_CFG))
+        code = f"""
+import json, sys
+from safeobench import cli, harness, report
+for jobs in ("1", "2"):
+    out = {str(tmp_path)!r} + "/jobs" + jobs
+    assert cli.main(["benchmark", {str(cfg)!r}, "--algos", "va-ea,unsafe-ea",
+                     "--runs", "3", "--jobs", jobs, "--out", out]) == 0
+    for metric, fmt in (("bsf", "csv"), ("bsf", "svg"), ("unsafe", "csv"),
+                        ("unsafe", "svg"), ("trajectory", "csv")):
+        assert cli.main(["report", out, "--metric", metric, "--format", fmt,
+                         "--out", out + "/" + metric + "." + fmt]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        for p in sorted((tmp_path / "jobs1").glob("*.csv")):
+            assert p.read_bytes() == (tmp_path / "jobs2" / p.name).read_bytes()
+
+    def test_gp_plan_imports_the_gp_stack_before_forking(self):
+        code = f"""
+import sys
+from safeobench import harness
+cfg = harness.normalize_config({FAST_CFG!r})
+harness.make_plan(cfg, ["va-ea"], 1)
+print("safeobench.safegp" in sys.modules)
+harness.make_plan(cfg, ["va-ea", "msafe-ucb"], 1)
+print("safeobench.safegp" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "True True"]
 
 
 class TestPersistence:
@@ -420,14 +518,8 @@ class TestCli:
 
     def test_module_entry_point(self):
         # python -m safeobench runs the same command line as cli.main.
-        src = str(Path(safeobench.__file__).resolve().parents[1])
         config = Path(__file__).resolve().parents[1] / "configs" / "sphere.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "safeobench", "problem", "inspect", str(config)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh_python("-m", "safeobench", "problem", "inspect", str(config))
         assert proc.returncode == 0, proc.stderr
         assert "threshold h" in proc.stdout
 
@@ -683,6 +775,17 @@ class TestCli:
             ["run", str(path), "--algo", "va-ea", "--run-index", "0"]
         )
         assert rc == 3
+
+    def test_factorization_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        from safeobench import gp, safegp
+
+        def fail(*args, **kwargs):
+            raise gp.FactorizationError("not positive definite")
+
+        monkeypatch.setattr(safegp, "gp_fit", fail)
+        rc = cli.main(["run", self._write_cfg(tmp_path), "--algo", "msafe-ucb"])
+        assert rc == 4
+        assert "numerical failure: not positive definite" in capsys.readouterr().err
 
     def test_trajectory_svg_rejected(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
