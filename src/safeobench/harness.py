@@ -363,11 +363,18 @@ class BenchmarkPlan:
 
 
 def make_plan(cfg: dict, algorithms: Sequence[str], n_runs: int) -> BenchmarkPlan:
-    """Build the problem and the shared seed sets of a benchmark from its config."""
+    """Build the problem and the shared seed sets of a benchmark from its config.
+
+    ``algorithms`` must name at least one of ``ALGORITHMS``, each once.
+    """
     algorithms = list(algorithms)
+    if not algorithms:
+        raise ConfigError("no algorithm given")
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}")
+    if len(set(algorithms)) < len(algorithms):
+        raise ConfigError(f"algorithm listed twice in {algorithms}")
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
     problem = build_problem(cfg)
@@ -677,10 +684,11 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
     """Load a persisted benchmark: (manifest, results keyed by algo/run).
 
     Raise ConfigError for a manifest that is not JSON or lacks ``config``,
-    ``runs`` or a run's ``n_steps`` or ``termination``, a config that
-    does not normalize, and a run CSV that does not load, whose record
-    count is not the manifest's ``n_steps`` or exceeds the config's
-    ``max_run_length``. The manifest comes back with its config normalized.
+    ``runs`` or a run's ``n_steps`` or ``termination``, a ``runs`` key
+    that is not in ``ALGORITHMS``, a config that does not normalize, and
+    a run CSV that does not load, whose record count is not the
+    manifest's ``n_steps`` or exceeds the config's ``max_run_length``.
+    The manifest comes back with its config normalized.
     """
     outdir = Path(outdir)
     manifest_path = outdir / "manifest.json"
@@ -697,6 +705,8 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
     results = {}
     all_runs = _field(manifest, "runs", manifest_path, dict)
     for algo in all_runs:
+        if algo not in ALGORITHMS:
+            raise ConfigError(f"{manifest_path}: unknown algorithm {algo!r}")
         runs = _field(all_runs, algo, f"{manifest_path} runs", dict)
         for idx_str in runs:
             where = f"{manifest_path} run {algo}/{idx_str}"

@@ -17,12 +17,12 @@ the first step and when the extension breaks down.
 
 * ``safeopt`` / ``safe-ucb`` certify safety with a Lipschitz bound
   around previously-safe points: x is safe iff some safe x_s satisfies
-  l(x_s) - L * d(x_s, x) >= h. They differ only in selection. Their
-  geometry depends only on the grid and the safe set, so it is not
-  rebuilt every step: the safe-set update reads the domain diameter from
-  the optimizer's grid KD-tree, and the optimizer caches each safe
-  point's distance to the nearest outside point until the safe set
-  changes.
+  l(x_s) - L * d(x_s, x) >= h. They differ only in selection. The
+  safe-set update tests each certifying x_s against the grid nodes in
+  the bounding box of its ball, found by binary search on the grid's
+  sorted axes. The expanders need each safe point's distance to the
+  nearest outside point, which depends only on the safe set, so the
+  optimizer caches it until the safe set changes.
 * ``msafeopt`` / ``msafe-ucb`` drop the Lipschitz constant and certify
   directly from the GP lower bound, l(x) >= h. Their safe set is unioned
   with the previous one so the initial seeds can never drop out when a
@@ -52,7 +52,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .gp import (
     ConfidenceBounds,
@@ -69,6 +68,7 @@ from .gp import (
 from .safeop import GP_VARIANTS as VARIANTS
 from .safeop import (
     LIPSCHITZ_VARIANTS,
+    Grid,
     Observation,
     Oracle,
     SafeOpProblem,
@@ -103,9 +103,8 @@ def update_safe_set_lipschitz(
     prev_mask: np.ndarray,
     bounds: ConfidenceBounds,
     lipschitz: float,
-    points: np.ndarray,
+    grid: Grid,
     threshold: float,
-    tree: Optional[cKDTree] = None,
 ) -> np.ndarray:
     """Safe-set update through the Lipschitz bound.
 
@@ -115,14 +114,11 @@ def update_safe_set_lipschitz(
 
     Members with l < threshold can certify nothing and are skipped. Each
     remaining member can only certify points inside a ball of radius
-    (l - threshold) / lipschitz around it, so candidate points come from
-    a KD-tree ball query (radius padded well beyond float rounding) and
-    the exact inequality is then evaluated on those candidates only.
-    When the largest ball reaches half the domain diameter, a dense scan
-    replaces the ball queries. ``tree`` may pass a prebuilt cKDTree over
-    ``points`` (one is built otherwise); the diameter comes from its
-    bounding box, ``tree.maxes - tree.mins``, which equals the per-axis
-    extent of ``points`` exactly.
+    (l - threshold) / lipschitz around it, so its candidates are the grid
+    nodes inside the bounding box of that ball, the radius padded well
+    beyond float rounding. One binary search per box edge over the grid's
+    sorted axes gives the box's index range on each axis, and the exact
+    inequality is then evaluated on the box's nodes only.
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be > 0")
@@ -150,30 +146,23 @@ def update_safe_set_lipschitz(
     ) / lipschitz
     r_query = radius + slack
 
-    if tree is None:
-        tree = cKDTree(points)
-    diameter = float(np.sqrt(np.sum(np.square(tree.maxes - tree.mins))))
-    if float(r_query.max()) >= 0.5 * diameter:
-        # Balls cover a large fraction of the domain: a dense scan is
-        # cheaper than per-ball queries.
-        for start in range(0, certifiers.size, 256):
-            c = slice(start, start + 256)
-            dist = cdist(points, points[certifiers[c]])
-            hit = np.any(
-                l_cert[c][None, :] - lipschitz * dist >= threshold, axis=1
-            )
-            mask |= hit
-        return mask
-
-    balls = tree.query_ball_point(points[certifiers], r_query)
-    for ci, members in enumerate(balls):
-        members = np.asarray(members, dtype=int)
-        members = members[~mask[members]]
+    points = grid.points
+    centres = points[certifiers]
+    lo = np.empty((grid.dimension, certifiers.size), dtype=np.intp)
+    hi = np.empty_like(lo)
+    for k, axis in enumerate(grid.axes):
+        # The first node at or above the box's lower edge and one past the
+        # last node at or below its upper edge: nodes equal to an edge in
+        # float stay inside.
+        lo[k] = np.searchsorted(axis, centres[:, k] - r_query, side="left")
+        hi[k] = np.searchsorted(axis, centres[:, k] + r_query, side="right")
+    index = np.arange(n).reshape(grid.shape)  # row-major, as ``points``
+    for ci, (first, end) in enumerate(zip(lo.T.tolist(), hi.T.tolist())):
+        box = index[tuple(map(slice, first, end))].reshape(-1)
+        members = box[~mask[box]]
         if members.size == 0:
             continue
-        dist = np.sqrt(
-            np.sum(np.square(points[members] - points[certifiers[ci]]), axis=1)
-        )
+        dist = np.sqrt(np.sum(np.square(points[members] - centres[ci]), axis=1))
         hit = l_cert[ci] - lipschitz * dist >= threshold
         mask[members[hit]] = True
     return mask
@@ -492,7 +481,6 @@ class SafeGpOptimizer:
         if self.uses_lipschitz:
             self._track = np.flatnonzero(self.safe_mask)
             self._tracked = self.safe_mask.copy()
-            self._grid_tree = cKDTree(self.grid.points)
         else:
             self._track = slice(None)
         rows = problem.eval_budget + len(seed_observations)
@@ -572,9 +560,8 @@ class SafeGpOptimizer:
             self.safe_mask,
             self._bounds,
             self.lipschitz,
-            self.grid.points,
+            self.grid,
             self.threshold_z,
-            tree=self._grid_tree,
         )
         if not new_mask.any():
             raise StalledAlgorithmError(
@@ -600,9 +587,6 @@ class SafeGpOptimizer:
         if self.variant in _WIDTH_VARIANTS:
             self.m_mask = compute_maximizers(self.safe_mask, self._bounds)
             self.g_mask = compute_expanders(self.safe_mask, self._bounds, self)
-        else:
-            self.m_mask[:] = False
-            self.g_mask[:] = False
         idx, fallback = select_next(
             self.variant, self.safe_mask, self._bounds, self.m_mask, self.g_mask
         )

@@ -24,7 +24,7 @@ from safeobench.safeop import (
 )
 
 from test_gp import dense_oracle, random_instance
-from test_safegp import brute_force_lipschitz_update, fake_bounds
+from test_safegp import brute_force_lipschitz_update, fake_bounds, grid_of
 
 MASTER_SEED = 20220709
 N_RUNS = 20
@@ -118,23 +118,23 @@ def test_c02_safe_set_brute_force_equality():
         dim = int(rng.integers(1, 3))
         if dim == 1:
             n = int(rng.integers(2, 1001))
-            points = np.sort(rng.uniform(-5, 5, size=(n, 1)), axis=0)
+            grid = grid_of(np.sort(rng.uniform(-5, 5, size=n)))
         else:
             nx = int(rng.integers(2, 32))
             ny = int(rng.integers(2, 32))
-            ax, ay = np.linspace(-5, 5, nx), np.linspace(-4, 6, ny)
-            mesh = np.meshgrid(ax, ay, indexing="ij")
-            points = np.stack([m.ravel() for m in mesh], axis=1)
-            n = points.shape[0]
+            grid = grid_of(np.linspace(-5, 5, nx), np.linspace(-4, 6, ny))
+            n = grid.n_points
         lower = rng.normal(0, 2, size=n)
         prev = np.zeros(n, dtype=bool)
         prev[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = True
         lipschitz = float(rng.choice([0.01, 0.05, 0.5, 2.0, rng.uniform(0, 20)]))
         threshold = float(rng.normal(0, 1.5))
         got = update_safe_set_lipschitz(
-            prev, fake_bounds(lower), lipschitz, points, threshold
+            prev, fake_bounds(lower), lipschitz, grid, threshold
         )
-        want = brute_force_lipschitz_update(prev, lower, lipschitz, points, threshold)
+        want = brute_force_lipschitz_update(
+            prev, lower, lipschitz, grid.points, threshold
+        )
         np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
     print("ACCEPTANCE C2: PASS - Lipschitz safe-set update equals exhaustive "
           "evaluation on 100 random instances (exact mask equality)")

@@ -3,6 +3,7 @@ import ctypes
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -503,6 +504,16 @@ def _run_longer_than_budget(outdir):
     _edit_manifest(outdir, lambda m: m["config"]["problem"].update(eval_budget=1))
 
 
+def _path_as_algorithm(outdir):
+    # a valid copy next to the results, named through the algorithm key
+    shutil.copytree(outdir, outdir.parent / "dup")
+
+    def rename(manifest):
+        manifest["runs"]["../dup/va-ea"] = manifest["runs"].pop("va-ea")
+
+    _edit_manifest(outdir, rename)
+
+
 class TestCli:
     def _write_cfg(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -688,10 +699,20 @@ class TestCli:
             assert cli.main(["run", str(path), "--algo", "unsafe-ea", "--run-index", str(i)]) == 0
             assert capsys.readouterr().out == lines[i]
 
+    @pytest.mark.parametrize("algos", [",", "va-ea,va-ea"])
+    def test_benchmark_without_distinct_algorithms_exits_2(
+        self, algos, tmp_path, capsys
+    ):
+        outdir = tmp_path / "bench"
+        args = ["benchmark", self._write_cfg(tmp_path), "--algos", algos]
+        assert cli.main([*args, "--runs", "1", "--out", str(outdir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("corrupt", [
         _cut_to_header, _short_row, _non_numeric_field, _truncate_manifest,
         _drop_config, _drop_runs, _drop_n_steps, _drop_termination,
-        _non_numeric_run_index, _run_longer_than_budget,
+        _non_numeric_run_index, _run_longer_than_budget, _path_as_algorithm,
     ], ids=lambda f: f.__name__[1:])
     def test_report_on_malformed_results_exits_2(self, corrupt, tmp_path, capsys):
         path = tmp_path / "cfg.json"

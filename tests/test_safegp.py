@@ -13,7 +13,13 @@ from safeobench.gp import (
     posterior_detail,
 )
 from safeobench.problems import Scenario, make_objective
-from safeobench.safeop import Observation, Oracle, make_problem, sample_safe_seeds
+from safeobench.safeop import (
+    Grid,
+    Observation,
+    Oracle,
+    make_problem,
+    sample_safe_seeds,
+)
 from safeobench.safegp import (
     SafeGpOptimizer,
     StalledAlgorithmError,
@@ -128,24 +134,29 @@ def reference_expanders_modified(
     return mask
 
 
+def grid_of(*axes):
+    """Grid over sorted ``axes``: their row-major product, zero values."""
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    return Grid(axes=axes, points=points, values=np.zeros(len(points)))
+
+
 def random_lipschitz_instance(rng):
     dim = int(rng.integers(1, 3))
     if dim == 1:
         n = int(rng.integers(2, 300))
-        points = np.sort(rng.uniform(-5, 5, size=(n, 1)), axis=0)
+        grid = grid_of(np.sort(rng.uniform(-5, 5, size=n)))
     else:
         nx, ny = int(rng.integers(2, 18)), int(rng.integers(2, 18))
-        ax = np.linspace(-5, 5, nx)
-        ay = np.linspace(-3, 4, ny)
-        mesh = np.meshgrid(ax, ay, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-        n = points.shape[0]
+        grid = grid_of(np.linspace(-5, 5, nx), np.linspace(-3, 4, ny))
+        n = grid.n_points
     lower = rng.normal(0, 2, size=n)
     prev = np.zeros(n, dtype=bool)
     prev[rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)] = True
     lipschitz = float(rng.choice([0.01, 0.1, 1.0, 5.0, rng.uniform(0, 10)]))
     threshold = float(rng.normal(0, 1))
-    return prev, lower, lipschitz, points, threshold
+    return prev, lower, lipschitz, grid, threshold
 
 
 def fake_bounds(lower, upper=None):
@@ -167,62 +178,105 @@ class TestLipschitzSafeSetUpdate:
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            prev, lower, L, pts, h = random_lipschitz_instance(rng)
-            got = update_safe_set_lipschitz(prev, fake_bounds(lower), L, pts, h)
-            want = brute_force_lipschitz_update(prev, lower, L, pts, h)
+            prev, lower, L, grid, h = random_lipschitz_instance(rng)
+            got = update_safe_set_lipschitz(prev, fake_bounds(lower), L, grid, h)
+            want = brute_force_lipschitz_update(prev, lower, L, grid.points, h)
             np.testing.assert_array_equal(got, want)
 
     def test_1d_worked_example(self):
         # grid {0..4}, prev = {2}, l(2) = 5, h = 3, L = 1:
         # 5 - |2 - x| >= 3 iff |2 - x| <= 2, so the whole grid is safe
-        pts = np.arange(5.0).reshape(-1, 1)
+        grid = grid_of(np.arange(5.0))
         prev = np.array([False, False, True, False, False])
         lower = np.array([np.nan, np.nan, 5.0, np.nan, np.nan])
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, pts, 3.0)
+        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 3.0)
         assert got.all()
 
+    def test_radius_rounded_below_an_edge_node(self):
+        # l = 0.7 * 0.1 certifies the node at 0.1 with equality, but the
+        # radius (l - h) / L rounds to just below 0.1
+        grid = grid_of(np.linspace(0, 1, 11))
+        prev = np.zeros(11, bool)
+        prev[0] = True
+        lower = np.full(11, np.nan)
+        lower[0] = 0.7 * 0.1
+        assert lower[0] / 0.7 < grid.axes[0][1]
+        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.7, grid, 0.0)
+        np.testing.assert_array_equal(got, np.arange(11) < 2)
+
+    def test_box_edge_rounded_onto_a_node(self):
+        # around 1e8 the node spacing of float is 1.5e-8, so the padded
+        # lower edge 1e8 - (1 + slack) rounds onto the node 1e8 - 1, which
+        # the ball reaches exactly
+        c = 1e8
+        grid = grid_of(c + np.arange(-2.0, 3.0))
+        prev = np.array([False, False, True, False, False])
+        lower = np.array([np.nan, np.nan, 1.0, np.nan, np.nan])
+        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 0.0)
+        np.testing.assert_array_equal(got, [False, True, True, True, False])
+
     def test_zero_lipschitz_rejected(self):
-        pts = np.arange(4.0).reshape(-1, 1)
+        grid = grid_of(np.arange(4.0))
         prev = np.array([True, False, False, False])
         lower = np.array([3.5, np.nan, np.nan, np.nan])
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="lipschitz"):
-                update_safe_set_lipschitz(prev, fake_bounds(lower), bad, pts, 3.0)
+                update_safe_set_lipschitz(prev, fake_bounds(lower), bad, grid, 3.0)
 
     def test_huge_lipschitz_keeps_only_certifiers(self):
-        pts = np.linspace(0, 1, 6).reshape(-1, 1)
+        grid = grid_of(np.linspace(0, 1, 6))
         prev = np.array([True, True, False, False, False, True])
         lower = np.full(6, np.nan)
         lower[[0, 1, 5]] = [4.0, 2.0, 3.5]  # member 1 is below h
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1e9, pts, 3.0)
+        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1e9, grid, 3.0)
         np.testing.assert_array_equal(
             got, np.array([True, False, False, False, False, True])
         )
 
     def test_no_certifier_empties_set(self):
-        pts = np.arange(3.0).reshape(-1, 1)
+        grid = grid_of(np.arange(3.0))
         prev = np.array([True, True, False])
         lower = np.array([1.0, 2.0, np.nan])
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, pts, 3.0)
+        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 3.0)
         assert not got.any()
 
     def test_empty_prev_rejected(self):
-        pts = np.arange(3.0).reshape(-1, 1)
+        grid = grid_of(np.arange(3.0))
         with pytest.raises(ValueError):
             update_safe_set_lipschitz(
-                np.zeros(3, bool), fake_bounds(np.zeros(3)), 1.0, pts, 0.0
+                np.zeros(3, bool), fake_bounds(np.zeros(3)), 1.0, grid, 0.0
             )
 
-    def test_dense_fallback_matches_tree_path(self):
-        # large radii trigger the dense branch; compare against brute force
+    def test_balls_larger_than_the_domain(self):
+        # radii of 0 to 120 on a 10 x 7 domain: most boxes clip to the grid
         rng = np.random.default_rng(12)
-        pts = rng.uniform(-5, 5, size=(80, 2))
-        prev = np.zeros(80, bool)
-        prev[:10] = True
-        lower = np.where(prev, rng.uniform(3, 9, 80), np.nan)
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.05, pts, 3.0)
-        want = brute_force_lipschitz_update(prev, lower, 0.05, pts, 3.0)
+        grid = grid_of(np.linspace(-5, 5, 9), np.linspace(-3, 4, 8))
+        n = grid.n_points
+        prev = np.zeros(n, bool)
+        prev[rng.choice(n, size=10, replace=False)] = True
+        lower = np.where(prev, rng.uniform(3, 9, n), np.nan)
+        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.05, grid, 3.0)
+        want = brute_force_lipschitz_update(prev, lower, 0.05, grid.points, 3.0)
         np.testing.assert_array_equal(got, want)
+        assert got.all()
+
+    def test_irregular_axes_match_brute_force(self):
+        # spacings that vary along each axis: a box taken as a fixed
+        # number of nodes around the centre would miss or add nodes
+        rng = np.random.default_rng(23)
+        grid = grid_of(
+            np.cumsum(rng.uniform(0.01, 1.0, size=25)),
+            np.cumsum(rng.uniform(0.01, 1.0, size=21)),
+        )
+        n = grid.n_points
+        for _ in range(20):
+            prev = np.zeros(n, bool)
+            prev[rng.choice(n, size=int(rng.integers(1, 30)), replace=False)] = True
+            lower = rng.normal(0, 2, size=n)
+            L = float(rng.uniform(0.2, 5))
+            got = update_safe_set_lipschitz(prev, fake_bounds(lower), L, grid, 0.0)
+            want = brute_force_lipschitz_update(prev, lower, L, grid.points, 0.0)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGpSafeSetUpdate:
@@ -315,8 +369,8 @@ class TestLipschitzExpanders:
         rng = np.random.default_rng(19)
         n_expanders = n_safe = 0
         for trial in range(40):
-            _, upper, L, pts, h = random_lipschitz_instance(rng)
-            n = len(pts)
+            _, upper, L, grid, h = random_lipschitz_instance(rng)
+            pts, n = grid.points, grid.n_points
             if trial % 5 == 0:
                 safe = np.ones(n, dtype=bool)
             else:
@@ -851,11 +905,8 @@ class TestLipschitzExpanderCache:
             assert any(d["n_expanders"] for d in opt.diagnostics)
         else:
             assert changes == 1
-        # One tree over the whole grid per run, one over the outside
-        # points per distinct safe mask.
-        n = problem.grid.n_points
-        assert built.count(n) == 1
-        assert len(built) - 1 == changes
+        # One tree over the outside points per distinct safe mask.
+        assert len(built) == changes
 
 
 class TestOptimizerConstruction:
