@@ -17,7 +17,6 @@ from .safeop import (
     SafeOpProblem,
     discretize,
     estimate_lipschitz,
-    make_problem,
     percentile_threshold,
     sample_safe_seeds,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "SafeOpProblem",
     "discretize",
     "estimate_lipschitz",
-    "make_problem",
     "percentile_threshold",
     "sample_safe_seeds",
 ]

@@ -3,7 +3,8 @@
 Subcommands: ``problem inspect``, ``run``, ``benchmark``, ``report``.
 Any config key can be overridden from the command line with repeated
 ``--set section.key=value`` flags. Exit codes: 0 success, 2 config
-error or malformed results directory, 3 infeasible seed scenario, 4
+error, malformed results directory or a file or directory that cannot
+be read or written (any ``OSError``), 3 infeasible seed scenario, 4
 numerical failure.
 """
 
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # gp.FactorizationError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (harness.ConfigError, FileNotFoundError) as exc:
+    except (harness.ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -50,7 +50,6 @@ from .safeop import (
     Oracle,
     SafeOpProblem,
     StalledAlgorithmError,
-    make_problem,
     sample_safe_seeds,
 )
 
@@ -261,7 +260,7 @@ def build_problem(cfg: dict) -> SafeOpProblem:
     """Construct the SafeOpProblem described by a normalized config."""
     p = cfg["problem"]
     sb = p["safety_budget"]
-    return make_problem(
+    return SafeOpProblem(
         make_objective(p["objective"], dimension=p["dimension"], bounds=p["bounds"]),
         nodes_per_axis=p["nodes_per_axis"],
         percentile=p["percentile"],
@@ -277,7 +276,10 @@ def max_run_length(cfg: dict) -> int:
     """Most records one run of a normalized config can hold.
 
     The evaluation budget, plus the seed evaluations when seeds do not
-    consume it (the oracle then extends its budget by the seed count).
+    consume it. The one place that reads ``problem.seeds_consume_budget``:
+    ``run`` hands this number to the oracle as its record budget,
+    ``load_benchmark`` bounds persisted runs by it and the CLI's
+    ``report`` pads runs to it.
     """
     p = cfg["problem"]
     return p["eval_budget"] + (0 if p["seeds_consume_budget"] else p["n_seeds"])
@@ -442,7 +444,7 @@ def run(plan: BenchmarkPlan, algorithm: str, run_index: int) -> RunResult:
     oracle = Oracle(
         plan.problem,
         derive_rng(p["master_seed"], run_index, "oracle"),
-        seeds_consume_budget=p["seeds_consume_budget"],
+        budget=max_run_length(plan.config),
     )
     seed_obs = oracle.prime(plan.seed_sets[run_index])
     termination = oracle.termination.value
@@ -672,12 +674,14 @@ def save_benchmark(
 
 def _field(mapping, key: str, where, kind: type = object):
     """``mapping[key]``; ConfigError naming ``where`` when ``mapping`` is
-    not a dict, lacks ``key`` or holds something other than a ``kind``."""
+    not a dict, lacks ``key`` or holds something other than a ``kind``
+    (a JSON ``true`` or ``false`` is not an ``int``)."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise ConfigError(f"{where} has no {key!r}")
-    if not isinstance(mapping[key], kind):
+    value = mapping[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{where}: {key!r} must be a {kind.__name__}")
-    return mapping[key]
+    return value
 
 
 def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
@@ -685,7 +689,9 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
 
     Raise ConfigError for a manifest that is not JSON or lacks ``config``,
     ``runs`` or a run's ``n_steps`` or ``termination``, a ``runs`` key
-    that is not in ``ALGORITHMS``, a config that does not normalize, and
+    that is not in ``ALGORITHMS``, a run index other than ``str(i)`` for
+    an ``int`` i >= 0 (the only form ``save_benchmark`` writes, so no two
+    keys name the same run), a config that does not normalize, and
     a run CSV that does not load, whose record count is not the
     manifest's ``n_steps`` or exceeds the config's ``max_run_length``.
     The manifest comes back with its config normalized.
@@ -713,8 +719,11 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
             meta = _field(runs, idx_str, where, dict)
             n_steps = _field(meta, "n_steps", where, int)
             termination = _field(meta, "termination", where, str)
-            if not idx_str.isdigit():
-                raise ConfigError(f"{where}: run index is not a number")
+            # isdecimal() admits only characters int() parses
+            if not (idx_str.isdecimal() and str(int(idx_str)) == idx_str):
+                raise ConfigError(
+                    f"{where}: run index is not a number without leading zeros"
+                )
             i = int(idx_str)
             path = outdir / run_csv_name(algo, i)
             result = load_run_csv(path, algo, i)

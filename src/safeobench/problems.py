@@ -3,8 +3,10 @@
 Objectives are noiseless, deterministic maximization targets on a box
 domain. Evaluation noise, safety thresholds and budgets are layered on
 top by :mod:`safeobench.safeop`. The objectives are the rows of one
-name-keyed table; a new row adds an objective without touching any
-algorithm code.
+name-keyed table. A row is one vectorized function, mapping an (n, d)
+array to its n values, and the per-axis location of its maximum; a new
+row adds an objective without touching any other code. Single points
+are evaluated as one-row arrays, so one function serves every caller.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ __all__ = [
     "Objective",
     "make_objective",
     "objective_names",
-    "sphere_eval",
-    "styblinski_tang_eval",
     "scenario_mask",
     "validate_scenario",
 ]
@@ -54,14 +54,12 @@ class Objective:
     bounds : tuple of (lo, hi)
         Closed per-axis interval; one pair per dimension.
     fn : callable
-        Scalar evaluation, maps a 1-D float array of length ``dimension``
-        to a float. It does no checking of its own: :meth:`eval` is the
-        public checked path, and :class:`~safeobench.safeop.Oracle` calls
-        ``fn`` directly only after :meth:`contains` has accepted the
-        point, which rules out a wrong length and non-finite coordinates.
-    batch_fn : callable
-        Vectorized evaluation over an (n, d) array, returns shape (n,).
-        Must agree with ``fn`` elementwise.
+        Vectorized evaluation, maps an (n, ``dimension``) float array to
+        its n values. It does no checking of its own: :meth:`eval` and
+        :meth:`eval_batch` are the public checked paths, and
+        :class:`~safeobench.safeop.Oracle` calls ``fn`` on a one-row
+        array only after :meth:`contains` has accepted the point, which
+        rules out a wrong length and non-finite coordinates.
     optimum_location, optimum_value : optional
         Global maximum, when known analytically.
     """
@@ -69,8 +67,7 @@ class Objective:
     name: str
     dimension: int
     bounds: tuple[tuple[float, float], ...]
-    fn: Callable[[np.ndarray], float]
-    batch_fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
     optimum_location: Optional[tuple[float, ...]] = None
     optimum_value: Optional[float] = None
 
@@ -95,7 +92,7 @@ class Objective:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{self.name}: point has non-finite coordinates")
-        return float(self.fn(arr))
+        return float(self.fn(arr[None, :])[0])
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the objective at every row of an (n, d) array."""
@@ -104,7 +101,7 @@ class Objective:
             raise ValueError(
                 f"{self.name}: expected (n, {self.dimension}) array, got {arr.shape}"
             )
-        return np.asarray(self.batch_fn(arr), dtype=float)
+        return np.asarray(self.fn(arr), dtype=float)
 
     def contains(self, x: Sequence[float]) -> bool:
         """True when every coordinate lies inside the closed box.
@@ -119,40 +116,26 @@ class Objective:
         return True
 
 
-def sphere_eval(x: np.ndarray) -> float:
-    """Sphere function, maximized at the origin with value 0.
-
-    f(x) = -||x||^2 with the Euclidean norm.
-    """
-    return -float(np.square(np.asarray(x, dtype=float)).sum())
+def _sphere(xs: np.ndarray) -> np.ndarray:
+    """Sphere function, f(x) = -||x||^2, maximized at the origin with value 0."""
+    return -np.square(xs).sum(axis=1)
 
 
-def _sphere_batch(xs: np.ndarray) -> np.ndarray:
-    return -np.sum(np.square(xs), axis=1)
-
-
-def styblinski_tang_eval(x: np.ndarray) -> float:
+def _styblinski_tang(xs: np.ndarray) -> np.ndarray:
     """Styblinski-Tang function (negated, so a maximization problem).
 
     f(x) = -(1/2) * sum_k (x_k^4 - 16 x_k^2 + 5 x_k). Separable, with
     one maximum per quadrant in [-5, 5]^2 and the global maximum near
     (-2.903534, ..., -2.903534).
     """
-    x = np.asarray(x, dtype=float)
-    # numpy, not Python floats: numpy's float64 power can differ from
-    # Python's ** in the last bit, which would change recorded outputs.
-    return -0.5 * float((x**4 - 16.0 * x**2 + 5.0 * x).sum())
+    return -0.5 * (xs**4 - 16.0 * xs**2 + 5.0 * xs).sum(axis=1)
 
 
-def _styblinski_batch(xs: np.ndarray) -> np.ndarray:
-    return -0.5 * np.sum(xs**4 - 16.0 * xs**2 + 5.0 * xs, axis=1)
-
-
-# name -> (fn, batch_fn, per-axis location of the global maximum); the
+# name -> (fn, per-axis location of the global maximum); the
 # Styblinski-Tang location to the precision usually quoted for it.
 _OBJECTIVES = {
-    "sphere": (sphere_eval, _sphere_batch, 0.0),
-    "styblinski-tang": (styblinski_tang_eval, _styblinski_batch, -2.903534),
+    "sphere": (_sphere, 0.0),
+    "styblinski-tang": (_styblinski_tang, -2.903534),
 }
 
 
@@ -173,7 +156,7 @@ def make_objective(name: str, dimension: int = 2, bounds=None) -> Objective:
         If ``name`` is not in the table.
     """
     try:
-        fn, batch_fn, argmax = _OBJECTIVES[name]
+        fn, argmax = _OBJECTIVES[name]
     except KeyError:
         raise ValueError(
             f"unknown objective {name!r}; registered: {objective_names()}"
@@ -184,9 +167,8 @@ def make_objective(name: str, dimension: int = 2, bounds=None) -> Objective:
         dimension=dimension,
         bounds=tuple(map(tuple, bounds)) if bounds else ((-5.0, 5.0),) * dimension,
         fn=fn,
-        batch_fn=batch_fn,
         optimum_location=loc,
-        optimum_value=fn(np.asarray(loc)) + 0.0,
+        optimum_value=float(fn(np.array([loc]))[0]) + 0.0,
     )
 
 

@@ -4,10 +4,14 @@ A safe optimization problem wraps an objective with: a finite uniform
 discretization of its box domain, a safety threshold set at a percentile
 of the objective values on that grid, Gaussian evaluation noise, an
 evaluation budget and a safety budget, and a rule for sampling initial
-safe seeds. The :class:`Oracle` is the only thing algorithms are allowed
-to query: it returns noisy observations, flags unsafe ones (observed
-value below the threshold) and terminates the run when either budget
-runs out.
+safe seeds. :class:`SafeOpProblem` is built from those parameters alone
+and derives the grid, the threshold and the Lipschitz estimate itself.
+The :class:`Oracle` is the only thing algorithms are allowed to query:
+it returns noisy observations, flags unsafe ones (observed value below
+the threshold) and terminates the run when its record budget or the
+safety budget runs out. The record budget is the caller's to set: the
+harness passes ``harness.max_run_length``, which decides whether seed
+evaluations count against the problem's evaluation budget.
 """
 
 from __future__ import annotations
@@ -165,20 +169,26 @@ def estimate_lipschitz(grid: Grid) -> float:
 class SafeOpProblem:
     """A safe optimization problem over a discretized box domain.
 
-    ``threshold`` is derived at construction: the nearest-rank
-    ``percentile`` of the grid values. ``safety_budget=None`` means
-    unlimited. Immutable by convention; share freely across runs.
+    ``grid``, ``threshold`` and ``lipschitz`` are derived at construction
+    and cannot be passed in: the grid has ``nodes_per_axis`` nodes on
+    every axis (:func:`discretize`), the threshold is its nearest-rank
+    ``percentile`` (:func:`percentile_threshold`) and the Lipschitz
+    estimate is :func:`estimate_lipschitz` of the grid.
+    ``safety_budget=None`` means unlimited. Immutable by convention;
+    share freely across runs.
     """
 
     objective: Objective
-    grid: Grid
-    noise_std: float
-    threshold: float = field(init=False)
+    nodes_per_axis: int
     percentile: float
+    noise_std: float
     eval_budget: int
     safety_budget: Optional[int] = None
     seed_confidence: float = 1.96
     scenario: Scenario = Scenario.NONE
+    grid: Grid = field(init=False)
+    threshold: float = field(init=False)
+    lipschitz: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.noise_std < 0:
@@ -187,40 +197,11 @@ class SafeOpProblem:
             raise ValueError("eval_budget must be >= 1")
         if self.safety_budget is not None and self.safety_budget < 0:
             raise ValueError("safety_budget must be >= 0 or None")
-        self.threshold = percentile_threshold(self.grid, self.percentile)
         self.scenario = Scenario(self.scenario)
         validate_scenario(self.scenario, self.objective)
-        self._lipschitz: Optional[float] = None
-
-    @property
-    def lipschitz(self) -> float:
-        """Max-gradient Lipschitz estimate on the grid (cached)."""
-        if self._lipschitz is None:
-            self._lipschitz = estimate_lipschitz(self.grid)
-        return self._lipschitz
-
-
-def make_problem(
-    objective: Objective,
-    nodes_per_axis: int,
-    percentile: float,
-    noise_std: float,
-    eval_budget: int,
-    safety_budget: Optional[int] = None,
-    seed_confidence: float = 1.96,
-    scenario: Scenario = Scenario.NONE,
-) -> SafeOpProblem:
-    """Discretize an objective into a safe optimization problem."""
-    return SafeOpProblem(
-        objective=objective,
-        grid=discretize(objective, nodes_per_axis),
-        noise_std=noise_std,
-        percentile=percentile,
-        eval_budget=eval_budget,
-        safety_budget=safety_budget,
-        seed_confidence=seed_confidence,
-        scenario=scenario,
-    )
+        self.grid = discretize(self.objective, self.nodes_per_axis)
+        self.threshold = percentile_threshold(self.grid, self.percentile)
+        self.lipschitz = estimate_lipschitz(self.grid)
 
 
 def seed_eligibility(
@@ -289,34 +270,33 @@ class Observation:
 class Oracle:
     """Budget-tracking noisy evaluation oracle for a single run.
 
-    Draws observation noise from its own random stream, so two oracles
-    constructed with identical streams reproduce identical observation
-    sequences for identical queries. Once terminated, further evaluation
-    requests raise :class:`TerminatedRunError`.
+    The run terminates once the log holds ``budget`` records (by default
+    the problem's ``eval_budget``; seed evaluations count like any
+    other) or once the unsafe evaluations exceed the problem's
+    ``safety_budget``. Draws observation noise from its own random
+    stream, so two oracles constructed with identical streams reproduce
+    identical observation sequences for identical queries. Once
+    terminated, further evaluation requests raise
+    :class:`TerminatedRunError`.
     """
 
     def __init__(
         self,
         problem: SafeOpProblem,
         rng: np.random.Generator,
-        seeds_consume_budget: bool = True,
+        budget: Optional[int] = None,
     ):
         self.problem = problem
         self.rng = rng
-        self.seeds_consume_budget = seeds_consume_budget
+        self.budget = problem.eval_budget if budget is None else budget
         self.log: list[Observation] = []
         self.unsafe_used = 0
         self._bsf_true = -math.inf
         self.termination = TerminationReason.RUNNING
-        self._budget_extra = 0  # seed evaluations exempted from the budget
 
     @property
     def running(self) -> bool:
         return self.termination is TerminationReason.RUNNING
-
-    @property
-    def effective_budget(self) -> int:
-        return self.problem.eval_budget + self._budget_extra
 
     def evaluate(self, x: Sequence[float]) -> Observation:
         """Observe f(x) + noise, update budgets, maybe terminate the run."""
@@ -331,7 +311,7 @@ class Oracle:
         # the checks Objective.eval would repeat.
         if not objective.contains(point):
             raise ValueError(f"point {point} outside the box domain")
-        f = float(objective.fn(np.array(point)))
+        f = float(objective.fn(np.array([point]))[0])
         eps = float(self.rng.normal(0.0, problem.noise_std))
         y = f + eps
         unsafe = y < problem.threshold
@@ -347,26 +327,22 @@ class Oracle:
         self.log.append(obs)
         if unsafe:
             self.unsafe_used += 1
-        budget = problem.safety_budget
-        if unsafe and budget is not None and self.unsafe_used > budget:
+        safety_budget = problem.safety_budget
+        if unsafe and safety_budget is not None and self.unsafe_used > safety_budget:
             self.termination = TerminationReason.SAFETY_EXHAUSTED
-        elif len(self.log) >= self.effective_budget:
+        elif len(self.log) >= self.budget:
             self.termination = TerminationReason.BUDGET_EXHAUSTED
         return obs
 
     def prime(self, seeds: Sequence[Sequence[float]]) -> list[Observation]:
         """Evaluate the initial safe seeds, returning their observations.
 
-        Seed evaluations appear in the log as the first steps. When the
-        oracle was built with ``seeds_consume_budget=False`` the budget is
-        extended so the optimizer still gets the full evaluation budget.
-        Stops early (without raising) if a budget terminates the run
-        mid-priming.
+        Seed evaluations appear in the log as the first steps and count
+        against ``budget``. Stops early (without raising) if a budget
+        terminates the run mid-priming.
         """
         if not seeds:
             raise ValueError("need at least one seed")
-        if not self.seeds_consume_budget:
-            self._budget_extra += len(seeds)
         out = []
         for s in seeds:
             if not self.running:

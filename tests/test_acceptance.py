@@ -17,9 +17,9 @@ from safeobench.problems import Scenario, make_objective
 from safeobench.safegp import update_safe_set_lipschitz
 from safeobench.safeop import (
     Oracle,
+    SafeOpProblem,
     discretize,
     estimate_lipschitz,
-    make_problem,
     sample_safe_seeds,
 )
 
@@ -292,7 +292,7 @@ def test_c10_ea_invariants():
         runs += 1
         mu = int(rng.choice([2, 3, 4, 6]))
         generations = int(rng.integers(30, 50))
-        problem = make_problem(
+        problem = SafeOpProblem(
             make_objective("sphere"),
             nodes_per_axis=25,
             percentile=float(rng.uniform(50, 90)),

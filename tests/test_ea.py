@@ -20,9 +20,9 @@ from safeobench.problems import make_objective
 from safeobench.safeop import (
     Observation,
     Oracle,
+    SafeOpProblem,
     TerminatedRunError,
     TerminationReason,
-    make_problem,
     sample_safe_seeds,
 )
 
@@ -295,7 +295,7 @@ class TestSurvivalSelection:
 
 
 def ea_problem(noise=0.1, budget=60, percentile=80.0):
-    return make_problem(
+    return SafeOpProblem(
         make_objective("sphere"),
         nodes_per_axis=40,
         percentile=percentile,
@@ -510,7 +510,7 @@ class NaiveEvalHistory:
 
 class TestReferenceHistory:
     def run_va_ea(self, history_cls, monkeypatch):
-        problem = make_problem(
+        problem = SafeOpProblem(
             make_objective("styblinski-tang"),
             nodes_per_axis=100,
             percentile=95.0,
@@ -571,7 +571,7 @@ def naive_evaluate(self, x):
     budget = self.problem.safety_budget
     if unsafe and budget is not None and self.unsafe_used > budget:
         self.termination = TerminationReason.SAFETY_EXHAUSTED
-    elif len(self.log) >= self.effective_budget:
+    elif len(self.log) >= self.budget:
         self.termination = TerminationReason.BUDGET_EXHAUSTED
     return o
 
@@ -647,7 +647,7 @@ class TestReferenceOracleAndVariation:
 
     @pytest.mark.parametrize("va", [True, False], ids=["va-ea", "unsafe-ea"])
     def test_styblinski_with_noise(self, va, monkeypatch):
-        problem = make_problem(
+        problem = SafeOpProblem(
             make_objective("styblinski-tang"),
             nodes_per_axis=100,
             percentile=95.0,
@@ -664,7 +664,7 @@ class TestReferenceOracleAndVariation:
         # The first grid node on axis 1 is +0.0, and seeds sit there; numpy's
         # clip returns the bound -0.0 for it, as for every negative value.
         objective = make_objective("sphere", bounds=[(-0.0, 3.0), (-3.0, 0.0)])
-        problem = make_problem(
+        problem = SafeOpProblem(
             objective, nodes_per_axis=6, percentile=50.0, noise_std=0.1, eval_budget=300
         )
         oracle, _ = self.assert_same_run(problem, va, monkeypatch)
@@ -673,7 +673,7 @@ class TestReferenceOracleAndVariation:
 
     @pytest.mark.parametrize("va", [True, False], ids=["va-ea", "unsafe-ea"])
     def test_noise_free_reevaluations(self, va, monkeypatch):
-        problem = make_problem(
+        problem = SafeOpProblem(
             make_objective("styblinski-tang"),
             nodes_per_axis=30,
             percentile=60.0,
@@ -690,7 +690,7 @@ class TestReferenceOracleAndVariation:
         corners = [(lo, hi) for lo in (-5.0, 5.0) for hi in (-5.0, 5.0)]
         zeros = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, 5.0)]
         points = [tuple(p) for p in rng.uniform(-5.0, 5.0, size=(300, 2))] + corners + zeros
-        problem = make_problem(
+        problem = SafeOpProblem(
             objective, nodes_per_axis=5, percentile=50.0, noise_std=0.1,
             eval_budget=len(points),
         )

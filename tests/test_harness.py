@@ -499,6 +499,28 @@ def _non_numeric_run_index(outdir):
     _edit_manifest(outdir, rename)
 
 
+def _superscript_run_index(outdir):
+    def rename(manifest):
+        runs = manifest["runs"]["va-ea"]
+        runs["\u00b2"] = runs.pop("1")  # str.isdigit() is true for it
+
+    _edit_manifest(outdir, rename)
+
+
+def _zero_padded_run_index(outdir):
+    # "00" names run 0 a second time
+    _edit_manifest(
+        outdir, lambda m: m["runs"]["va-ea"].update({"00": m["runs"]["va-ea"]["0"]})
+    )
+
+
+def _bool_n_steps(outdir):
+    # a one-record run whose n_steps is true, equal to 1 as an int
+    path = outdir / "va-ea_run1.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+    _edit_manifest(outdir, lambda m: m["runs"]["va-ea"]["1"].update(n_steps=True))
+
+
 def _run_longer_than_budget(outdir):
     # the run CSVs and their n_steps stay; only the config's budget shrinks
     _edit_manifest(outdir, lambda m: m["config"]["problem"].update(eval_budget=1))
@@ -712,7 +734,8 @@ class TestCli:
     @pytest.mark.parametrize("corrupt", [
         _cut_to_header, _short_row, _non_numeric_field, _truncate_manifest,
         _drop_config, _drop_runs, _drop_n_steps, _drop_termination,
-        _non_numeric_run_index, _run_longer_than_budget, _path_as_algorithm,
+        _non_numeric_run_index, _superscript_run_index, _zero_padded_run_index,
+        _bool_n_steps, _run_longer_than_budget, _path_as_algorithm,
     ], ids=lambda f: f.__name__[1:])
     def test_report_on_malformed_results_exits_2(self, corrupt, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -778,6 +801,26 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["problem", "inspect", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["benchmark", "run", "report"])
+    def test_unusable_out_path_exits_2(self, command, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        bench = tmp_path / "bench"
+        one_run = ["--algos", "va-ea", "--runs", "1"]
+        assert cli.main(["benchmark", cfg, *one_run, "--out", str(bench)]) == 0
+        taken = tmp_path / "taken"
+        if command == "report":  # a directory where the report file goes
+            taken.mkdir()
+            args = ["report", str(bench)]
+        else:  # a file where the output directory goes
+            taken.write_text("")
+            args = {
+                "benchmark": ["benchmark", cfg, *one_run],
+                "run": ["run", cfg, "--algo", "va-ea"],
+            }[command]
+        capsys.readouterr()
+        assert cli.main([*args, "--out", str(taken)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -8,8 +8,6 @@ from safeobench.problems import (
     make_objective,
     objective_names,
     scenario_mask,
-    sphere_eval,
-    styblinski_tang_eval,
     validate_scenario,
 )
 
@@ -42,7 +40,8 @@ class TestSphere:
         )
     )
     def test_matches_independent_oracle(self, coords):
-        assert sphere_eval(np.array(coords)) == pytest.approx(
+        obj = make_objective("sphere", dimension=len(coords))
+        assert obj.eval(coords) == pytest.approx(
             sphere_oracle(coords), rel=1e-12, abs=1e-12
         )
 
@@ -86,7 +85,7 @@ class TestStyblinskiTang:
         st.floats(-5, 5, allow_nan=False, allow_infinity=False),
     )
     def test_separable(self, a, b):
-        whole = styblinski_tang_eval(np.array([a, b]))
+        whole = make_objective("styblinski-tang").eval((a, b))
         parts = styblinski_term(a) + styblinski_term(b)
         assert whole == pytest.approx(parts, rel=1e-12, abs=1e-9)
 
@@ -136,12 +135,21 @@ class TestPurityAndBatch:
 
     @pytest.mark.parametrize("name", ["sphere", "styblinski-tang"])
     def test_batch_matches_scalar(self, name):
-        obj = make_objective(name)
+        # dimensions on both sides of numpy's 8-wide unrolled summation,
+        # magnitudes up to 1e6 and signed zeros; equal bit for bit
         rng = np.random.default_rng(7)
-        pts = rng.uniform(-5, 5, size=(64, 2))
-        batch = obj.eval_batch(pts)
-        for row, v in zip(pts, batch):
-            assert obj.eval(row) == v
+        for d in (1, 2, 3, 8, 9, 17, 33):
+            obj = make_objective(name, dimension=d, bounds=[(-1e6, 1e6)] * d)
+            scale = 10.0 ** rng.uniform(-3, 6, size=(64, 1))
+            pts = np.vstack([
+                rng.uniform(-1, 1, size=(64, d)) * scale,
+                np.zeros((1, d)),
+                np.full((1, d), -0.0),
+                np.full((1, d), 1e6),
+            ])
+            batch = obj.eval_batch(pts)
+            for row, v in zip(pts, batch):
+                assert np.float64(obj.eval(row)).tobytes() == v.tobytes()
 
 
 class TestContains:

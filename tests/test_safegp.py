@@ -17,7 +17,7 @@ from safeobench.safeop import (
     Grid,
     Observation,
     Oracle,
-    make_problem,
+    SafeOpProblem,
     sample_safe_seeds,
 )
 from safeobench.safegp import (
@@ -723,7 +723,7 @@ class TestSelectNext:
 
 
 def small_sphere_problem(noise=0.1, budget=30, percentile=90.0):
-    return make_problem(
+    return SafeOpProblem(
         make_objective("sphere"),
         nodes_per_axis=30,
         percentile=percentile,
@@ -880,7 +880,7 @@ class TestLipschitzExpanderCache:
             return tree_cls(data, *args, **kwargs)
 
         monkeypatch.setattr(safegp, "cKDTree", counting_tree)
-        problem = make_problem(
+        problem = SafeOpProblem(
             make_objective(objective),
             nodes_per_axis=30,
             percentile=percentile,
@@ -912,7 +912,7 @@ class TestLipschitzExpanderCache:
 class TestOptimizerConstruction:
     def test_lipschitz_required(self):
         # a 2x2 grid on the symmetric sphere domain is flat: estimate L = 0
-        flat = make_problem(
+        flat = SafeOpProblem(
             make_objective("sphere"),
             nodes_per_axis=2,
             percentile=100.0,

@@ -16,19 +16,17 @@ from safeobench.safeop import (
     TerminationReason,
     discretize,
     estimate_lipschitz,
-    make_problem,
     percentile_threshold,
     sample_safe_seeds,
 )
 
 
-def custom_objective(fn, batch_fn, dimension=2, bounds=None):
+def custom_objective(fn, dimension=2, bounds=None):
     return Objective(
         name="custom",
         dimension=dimension,
         bounds=tuple(bounds or [(-5.0, 5.0)] * dimension),
         fn=fn,
-        batch_fn=batch_fn,
     )
 
 
@@ -55,11 +53,7 @@ class TestDiscretize:
         assert {tuple(p) for p in grid.points} == corners
 
     def test_1d_eleven_nodes(self):
-        obj = custom_objective(
-            lambda x: float(x[0]),
-            lambda xs: xs[:, 0].copy(),
-            dimension=1,
-        )
+        obj = custom_objective(lambda xs: xs[:, 0].copy(), dimension=1)
         grid = discretize(obj, 11)
         assert np.array_equal(grid.axes[0], np.arange(-5.0, 6.0))
 
@@ -148,11 +142,11 @@ class TestPercentileThreshold:
 
 class TestEstimateLipschitz:
     def test_constant_objective(self):
-        obj = custom_objective(lambda x: 1.5, lambda xs: np.full(len(xs), 1.5))
+        obj = custom_objective(lambda xs: np.full(len(xs), 1.5))
         assert estimate_lipschitz(discretize(obj, 20)) == 0.0
 
     def test_linear_objective_exact(self):
-        obj = custom_objective(lambda x: float(x[0]), lambda xs: xs[:, 0].copy())
+        obj = custom_objective(lambda xs: xs[:, 0].copy())
         for n in (10, 37, 101):
             assert estimate_lipschitz(discretize(obj, n)) == pytest.approx(
                 1.0, abs=1e-9
@@ -166,11 +160,7 @@ class TestEstimateLipschitz:
         )
 
     def test_1d_grid(self):
-        obj = custom_objective(
-            lambda x: float(x[0] ** 2),
-            lambda xs: xs[:, 0] ** 2,
-            dimension=1,
-        )
+        obj = custom_objective(lambda xs: xs[:, 0] ** 2, dimension=1)
         # derivative 2x, max 10 at the edges; one-sided estimate slightly low
         assert estimate_lipschitz(discretize(obj, 201)) == pytest.approx(10.0, rel=0.02)
 
@@ -184,7 +174,7 @@ def small_problem(**kw):
         eval_budget=100,
     )
     defaults.update(kw)
-    return make_problem(**defaults)
+    return SafeOpProblem(**defaults)
 
 
 class TestProblemConstruction:
@@ -192,15 +182,10 @@ class TestProblemConstruction:
         for k in (95.0, 37.5):
             prob = small_problem(percentile=k)
             assert prob.threshold == percentile_threshold(prob.grid, k)
-        with pytest.raises(TypeError):
-            SafeOpProblem(
-                objective=prob.objective,
-                grid=prob.grid,
-                noise_std=0.1,
-                threshold=prob.threshold,
-                percentile=37.5,
-                eval_budget=10,
-            )
+        # the derived fields cannot be passed in
+        for name in ("grid", "threshold", "lipschitz"):
+            with pytest.raises(TypeError, match=name):
+                small_problem(**{name: getattr(prob, name)})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -214,7 +199,7 @@ class TestProblemConstruction:
 
     def test_lipschitz_cached(self):
         prob = small_problem()
-        assert prob.lipschitz == prob.lipschitz
+        assert prob.lipschitz == estimate_lipschitz(prob.grid)
         assert prob.lipschitz == pytest.approx(2 * math.sqrt(50), rel=0.02)
 
 
@@ -246,7 +231,7 @@ class TestSampleSafeSeeds:
             assert prob.objective.eval(s) >= prob.threshold + 0.196 - 1e-12
 
     def test_scenario_s1_quadrant(self):
-        prob = make_problem(
+        prob = SafeOpProblem(
             make_objective("styblinski-tang"),
             nodes_per_axis=100,
             percentile=75.0,
@@ -258,7 +243,7 @@ class TestSampleSafeSeeds:
             assert x[0] > 0 and x[1] > 0
 
     def test_scenario_s3_split(self):
-        prob = make_problem(
+        prob = SafeOpProblem(
             make_objective("styblinski-tang"),
             nodes_per_axis=100,
             percentile=65.0,
@@ -272,7 +257,7 @@ class TestSampleSafeSeeds:
         assert (top_left, bottom_right) == (3, 2)
 
     def test_infeasible_names_region(self):
-        prob = make_problem(
+        prob = SafeOpProblem(
             make_objective("styblinski-tang"),
             nodes_per_axis=20,
             percentile=99.9,
@@ -384,11 +369,11 @@ class TestPriming:
         prob = small_problem(eval_budget=100)
         oracle = Oracle(prob, np.random.default_rng(0))
         oracle.prime(sample_safe_seeds(prob, 2, np.random.default_rng(0)))
-        assert oracle.effective_budget - len(oracle.log) == 98
+        assert oracle.budget - len(oracle.log) == 98
 
     def test_seeds_exempt_from_budget_when_configured(self):
         prob = small_problem(eval_budget=5)
-        oracle = Oracle(prob, np.random.default_rng(0), seeds_consume_budget=False)
+        oracle = Oracle(prob, np.random.default_rng(0), budget=5 + 3)
         oracle.prime(sample_safe_seeds(prob, 3, np.random.default_rng(0)))
         for _ in range(5):
             oracle.evaluate((0.0, 0.0))
