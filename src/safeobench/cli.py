@@ -1,6 +1,9 @@
 """Command line interface.
 
 Subcommands: ``problem inspect``, ``run``, ``benchmark``, ``report``.
+``run --out D`` and ``benchmark --out D`` both write D through
+``harness.save_benchmark`` (run CSVs plus ``manifest.json``), so
+``report D`` reads either; D is created before the first run starts.
 Any config key can be overridden from the command line with repeated
 ``--set section.key=value`` flags. Exit codes: 0 success, 2 config
 error, malformed results directory or a file or directory that cannot
@@ -74,6 +77,8 @@ def cmd_run(args) -> int:
     if args.run_index < 0:
         raise harness.ConfigError("--run-index must be >= 0")
     plan = harness.make_plan(cfg, [args.algo], args.run_index + 1)
+    if args.out:  # an unusable --out fails here, before the run
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = harness.run(plan, args.algo, args.run_index)
     print(
         f"{args.algo} run {args.run_index}: {result.n_steps} evaluations, "
@@ -81,11 +86,9 @@ def cmd_run(args) -> int:
         f"final BSF={result.final_bsf:.6g}, unsafe={result.n_unsafe}"
     )
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / harness.run_csv_name(args.algo, args.run_index)
-        harness.write_run_csv(result, path)
-        print(f"wrote {path}")
+        key = (args.algo, args.run_index)
+        outdir = harness.save_benchmark({key: result}, plan, args.out)
+        print(f"1 run written to {outdir}")
     return EXIT_OK
 
 
@@ -93,6 +96,7 @@ def cmd_benchmark(args) -> int:
     cfg = _load(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     plan = harness.make_plan(cfg, algos, args.runs)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # fails before any run
     results = harness.benchmark(plan, n_jobs=args.jobs)
     outdir = harness.save_benchmark(results, plan, args.out)
     n_failed = sum(
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("config")
     runp.add_argument("--algo", required=True, choices=harness.ALGORITHMS)
     runp.add_argument("--run-index", type=int, default=0)
-    runp.add_argument("--out", help="directory for the run CSV")
+    runp.add_argument("--out", help="results directory for the run")
     runp.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     runp.set_defaults(func=cmd_run)
 

@@ -10,7 +10,9 @@ everything downstream reads them as given. All randomness is
 derived from a single master seed through named streams, so identical
 plans reproduce byte-identical output regardless of execution order or
 parallelism. Each run is persisted as one CSV of per-step records plus
-an entry in a benchmark-level JSON manifest.
+an entry in a benchmark-level JSON manifest: ``save_benchmark`` writes
+both, for ``benchmark`` and for the CLI's one-run ``run --out`` alike,
+and ``load_benchmark`` reads them back into ``RunResult``s.
 
 This module imports neither the GP stack (``gp``, ``safegp``) nor scipy,
 so an EA-only benchmark and ``report`` never load them. ``make_plan``
@@ -497,14 +499,16 @@ _BLAS_THREAD_SETTERS = (
 )
 
 
-def _loaded_blas_setters() -> list[tuple[str, str]]:
-    """(library path, setter symbol) of each bundled OpenBLAS this process
-    has loaded: numpy's, and scipy's once scipy is imported.
+def _one_blas_thread() -> None:
+    """Pool worker initializer: one thread for each bundled OpenBLAS this
+    worker has loaded, numpy's and, once scipy is imported, scipy's.
 
-    ``RTLD_NOLOAD`` only finds a library that is already loaded, so the
-    lookup loads nothing.
+    Each worker already runs one task at a time on its own core; a BLAS
+    thread pool per worker only oversubscribes the cores. A forked worker
+    has loaded whatever its parent had, and ``RTLD_NOLOAD`` only finds a
+    library that is already loaded, so the lookup loads nothing.
     """
-    found = []
+    found = False
     for package in ("numpy", "scipy"):
         module = sys.modules.get(package)
         if module is None:
@@ -517,25 +521,13 @@ def _loaded_blas_setters() -> list[tuple[str, str]]:
                 continue
             symbol = next((s for s in _BLAS_THREAD_SETTERS if hasattr(lib, s)), None)
             if symbol is not None:
-                found.append((str(path), symbol))
-    return found
-
-
-def _one_blas_thread(setters: list[tuple[str, str]]) -> None:
-    """Pool worker initializer: one thread for each OpenBLAS in ``setters``.
-
-    Each worker already runs one task at a time on its own core; a BLAS
-    thread pool per worker only oversubscribes the cores.
-    """
-    for path, symbol in setters:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:  # not loaded: a worker started by spawn, not forked
-            continue
-        setter = getattr(lib, symbol)
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
+                setter = getattr(lib, symbol)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                found = True
+    if not found:
+        log.info("no bundled OpenBLAS is loaded; this worker keeps the default BLAS threads")
 
 
 def benchmark(
@@ -553,13 +545,8 @@ def benchmark(
     task = functools.partial(_run_task, plan)
     if n_jobs <= 1:
         return dict(zip(keys, map(task, keys)))
-    setters = _loaded_blas_setters()
-    if not setters:
-        log.info("no bundled OpenBLAS is loaded; workers keep the default BLAS threads")
     with ProcessPoolExecutor(
-        max_workers=min(n_jobs, len(keys)),
-        initializer=_one_blas_thread,
-        initargs=(setters,),
+        max_workers=min(n_jobs, len(keys)), initializer=_one_blas_thread
     ) as pool:
         return dict(zip(keys, pool.map(task, keys)))
 
@@ -599,8 +586,9 @@ def write_run_csv(result: RunResult, path) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def load_run_csv(path, algorithm: str, run_index: int) -> RunResult:
-    """Rebuild a RunResult (records only) from its persisted CSV.
+def load_run_csv(path) -> list[Observation]:
+    """Read the records of a run CSV that ``write_run_csv`` wrote;
+    ``load_benchmark`` pairs them with the run's manifest entry.
 
     Accepts ``\\r\\n`` and ``\\n`` line ends. Raises :class:`ConfigError`
     for a file that is empty, has a header other than the writer's, or
@@ -631,15 +619,17 @@ def load_run_csv(path, algorithm: str, run_index: int) -> RunResult:
             )
     except ValueError as exc:
         raise ConfigError(f"{path} line {len(records) + 2}: {exc}") from None
-    return RunResult(
-        algorithm=algorithm, run_index=run_index, records=records, termination=""
-    )
+    return records
 
 
 def save_benchmark(
     results: dict[tuple[str, int], RunResult], plan: BenchmarkPlan, outdir
 ) -> Path:
-    """Write one CSV per run plus the benchmark manifest; returns outdir."""
+    """Write one CSV per run plus the benchmark manifest; returns outdir.
+
+    ``results`` may hold any of the plan's runs (``run --out`` saves one).
+    A ``manifest.json`` already in ``outdir`` is replaced.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runs_meta: dict[str, dict] = {}
@@ -726,10 +716,10 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
                 )
             i = int(idx_str)
             path = outdir / run_csv_name(algo, i)
-            result = load_run_csv(path, algo, i)
-            if result.n_steps != n_steps:
+            records = load_run_csv(path)
+            if len(records) != n_steps:
                 raise ConfigError(
-                    f"{path} holds {result.n_steps} records, "
+                    f"{path} holds {len(records)} records, "
                     f"the manifest says {n_steps}"
                 )
             if n_steps > limit:
@@ -737,7 +727,7 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
                     f"{path} holds {n_steps} records, more than the "
                     f"{limit} a run of the manifest's config can hold"
                 )
-            result.termination = termination
-            result.error = meta.get("error")
-            results[(algo, i)] = result
+            results[(algo, i)] = RunResult(
+                algo, i, records, termination, error=meta.get("error")
+            )
     return manifest, results

@@ -48,9 +48,11 @@ class AggregateSeries:
 
 @dataclass
 class UnsafeSummary:
-    """Final unsafe-evaluation counts across runs with summary stats."""
+    """Final unsafe-evaluation counts across runs with summary stats;
+    ``counts[k]`` belongs to run ``run_indices[k]``."""
 
     counts: list[int]
+    run_indices: list[int]
     minimum: float
     q1: float
     median: float
@@ -103,6 +105,7 @@ def summarize_unsafe(results: Sequence[RunResult]) -> UnsafeSummary:
     arr = np.asarray(counts, dtype=float)
     return UnsafeSummary(
         counts=counts,
+        run_indices=[r.run_index for r in results],
         minimum=float(arr.min()),
         q1=float(np.percentile(arr, 25)),
         median=float(np.median(arr)),
@@ -137,7 +140,8 @@ def emit_unsafe_csv(summaries: dict[str, UnsafeSummary], path) -> None:
     """Per-run final unsafe counts: algorithm,run_index,final_unsafe."""
     lines = ["algorithm,run_index,final_unsafe"]
     for algo in sorted(summaries):
-        for i, c in enumerate(summaries[algo].counts):
+        s = summaries[algo]
+        for i, c in zip(s.run_indices, s.counts):
             lines.append(f"{algo},{i},{c}")
     Path(path).write_text("\n".join(lines) + "\n")
 

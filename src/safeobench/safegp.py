@@ -129,8 +129,6 @@ def update_safe_set_lipschitz(
     l_prev = bounds.lower[prev_idx]
     keep = l_prev >= threshold
     certifiers = prev_idx[keep]
-    if certifiers.size == 0:
-        return np.zeros(n, dtype=bool)
     l_cert = l_prev[keep]
     # Largest certified margin first: its ball marks the most points and
     # already-marked points are skipped below.

@@ -254,7 +254,7 @@ def sample_safe_seeds(
     ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Observation:
     """One oracle query, the run record the harness persists: where, what
     was observed, whether it was safe, and the best true value so far."""

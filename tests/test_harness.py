@@ -323,9 +323,9 @@ class TestPersistence:
         result = run(fast_plan, "safe-ucb", 0)
         path = tmp_path / "r.csv"
         write_run_csv(result, path)
-        loaded = load_run_csv(path, "safe-ucb", 0)
-        assert len(loaded.records) == len(result.records)
-        for a, b in zip(loaded.records, result.records):
+        loaded = load_run_csv(path)
+        assert len(loaded) == len(result.records)
+        for a, b in zip(loaded, result.records):
             assert a == b
 
     def test_csv_header(self, fast_plan, tmp_path):
@@ -384,9 +384,9 @@ class TestPersistence:
     def test_reader_round_trips_bit_patterns(self, dim, tmp_path):
         result = self.edge_result(dim, 30)
         write_run_csv(result, tmp_path / "r.csv")
-        loaded = load_run_csv(tmp_path / "r.csv", "va-ea", 0)
+        loaded = load_run_csv(tmp_path / "r.csv")
         # repr tells -0.0 from 0.0; == does not
-        assert repr(loaded.records) == repr(result.records)
+        assert repr(loaded) == repr(result.records)
 
     def test_reader_accepts_newline_only_line_ends(self, tmp_path):
         result = self.edge_result(2, 10)
@@ -394,23 +394,23 @@ class TestPersistence:
         lf = (tmp_path / "crlf.csv").read_bytes().replace(b"\r\n", b"\n")
         assert b"\r" not in lf
         (tmp_path / "lf.csv").write_bytes(lf)
-        loaded = load_run_csv(tmp_path / "lf.csv", "va-ea", 0)
-        assert repr(loaded.records) == repr(result.records)
+        loaded = load_run_csv(tmp_path / "lf.csv")
+        assert repr(loaded) == repr(result.records)
 
     def test_reader_reads_header_only_file(self, tmp_path):
         write_run_csv(self.edge_result(2, 0), tmp_path / "r.csv")
-        assert load_run_csv(tmp_path / "r.csv", "va-ea", 0).records == []
+        assert load_run_csv(tmp_path / "r.csv") == []
 
     def test_reader_rejects_empty_file(self, tmp_path):
         (tmp_path / "r.csv").write_bytes(b"")
         with pytest.raises(ConfigError, match="empty"):
-            load_run_csv(tmp_path / "r.csv", "va-ea", 0)
+            load_run_csv(tmp_path / "r.csv")
 
     @pytest.mark.parametrize("header", [b"step", b"a,b,c,d,e,f", b"step,x1,y,f_true,is_unsafe"])
     def test_reader_rejects_other_headers(self, header, tmp_path):
         (tmp_path / "r.csv").write_bytes(header + b"\r\n")
         with pytest.raises(ConfigError, match="header"):
-            load_run_csv(tmp_path / "r.csv", "va-ea", 0)
+            load_run_csv(tmp_path / "r.csv")
 
     def test_save_and_load_benchmark(self, fast_cfg, tmp_path):
         plan = make_plan(fast_cfg, ["va-ea"], 2)
@@ -557,20 +557,24 @@ class TestCli:
         assert "threshold h" in proc.stdout
 
     def test_run_subcommand(self, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "run",
-                self._write_cfg(tmp_path),
-                "--algo",
-                "va-ea",
-                "--run-index",
-                "1",
-                "--out",
-                str(tmp_path / "out"),
-            ]
-        )
-        assert rc == 0
-        assert (tmp_path / "out" / "va-ea_run1.csv").exists()
+        # run --out writes a one-run results directory that report reads
+        cfg = self._write_cfg(tmp_path)
+        one = tmp_path / "out"
+        args = ["run", cfg, "--algo", "va-ea", "--run-index", "1"]
+        assert cli.main([*args, "--out", str(one)]) == 0
+        assert sorted(p.name for p in one.iterdir()) == ["manifest.json", "va-ea_run1.csv"]
+        bench = tmp_path / "bench"
+        args = ["benchmark", cfg, "--algos", "va-ea", "--runs", "2"]
+        assert cli.main([*args, "--out", str(bench)]) == 0
+        csv_name = "va-ea_run1.csv"
+        assert (one / csv_name).read_bytes() == (bench / csv_name).read_bytes()
+        for metric, fmt in (("bsf", "csv"), ("bsf", "svg"), ("unsafe", "csv"),
+                            ("unsafe", "svg"), ("trajectory", "csv")):
+            out = tmp_path / f"{metric}.{fmt}"
+            args = ["report", str(one), "--metric", metric, "--format", fmt]
+            assert cli.main([*args, "--out", str(out)]) == 0
+        unsafe_rows = (tmp_path / "unsafe.csv").read_text().splitlines()
+        assert len(unsafe_rows) == 2 and unsafe_rows[1].startswith("va-ea,1,")
 
     def test_benchmark_and_report(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
@@ -721,6 +725,46 @@ class TestCli:
             assert cli.main(["run", str(path), "--algo", "unsafe-ea", "--run-index", str(i)]) == 0
             assert capsys.readouterr().out == lines[i]
 
+    def test_unsafe_csv_keeps_the_index_of_each_run(self, tmp_path, monkeypatch):
+        # run 1 of 3 fails; report drops it, and runs 0 and 2 keep their index
+        real_run = harness.run
+
+        def flaky(plan, algorithm, run_index):
+            if run_index == 1:
+                raise RuntimeError("boom")
+            return real_run(plan, algorithm, run_index)
+
+        monkeypatch.setattr(harness, "run", flaky)
+        outdir = tmp_path / "bench"
+        args = ["benchmark", self._write_cfg(tmp_path), "--algos", "unsafe-ea"]
+        assert cli.main([*args, "--runs", "3", "--out", str(outdir)]) == 0
+        runs = json.loads((outdir / "manifest.json").read_text())["runs"]["unsafe-ea"]
+        assert runs["1"]["termination"] == "failed"
+        out = tmp_path / "unsafe.csv"
+        assert cli.main(["report", str(outdir), "--metric", "unsafe", "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == ["algorithm,run_index,final_unsafe"] + [
+            f"unsafe-ea,{i},{runs[str(i)]['final_unsafe']}" for i in (0, 2)
+        ]
+
+    @pytest.mark.parametrize("command", ["benchmark", "run"])
+    @pytest.mark.parametrize("overrides,code", [
+        (["problem.n_seeds=0"], 2),
+        (["problem.objective=styblinski-tang", "problem.scenario=s1",
+          "problem.percentile=99.9", "problem.nodes_per_axis=20",
+          "problem.n_seeds=300"], 3),
+    ], ids=["config", "infeasible"])
+    def test_rejected_command_leaves_no_out_dir(
+        self, command, overrides, code, tmp_path, capsys
+    ):
+        outdir = tmp_path / "out"
+        args = {
+            "benchmark": ["benchmark", self._write_cfg(tmp_path), "--algos", "va-ea"],
+            "run": ["run", self._write_cfg(tmp_path), "--algo", "va-ea"],
+        }[command]
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert cli.main([*args, *sets, "--out", str(outdir)]) == code
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("algos", [",", "va-ea,va-ea"])
     def test_benchmark_without_distinct_algorithms_exits_2(
         self, algos, tmp_path, capsys
@@ -803,7 +847,7 @@ class TestCli:
         assert cli.main(["problem", "inspect", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize("command", ["benchmark", "run", "report"])
-    def test_unusable_out_path_exits_2(self, command, tmp_path, capsys):
+    def test_unusable_out_path_exits_2(self, command, tmp_path, capsys, monkeypatch):
         cfg = self._write_cfg(tmp_path)
         bench = tmp_path / "bench"
         one_run = ["--algos", "va-ea", "--runs", "1"]
@@ -818,9 +862,13 @@ class TestCli:
                 "benchmark": ["benchmark", cfg, *one_run],
                 "run": ["run", cfg, "--algo", "va-ea"],
             }[command]
+        calls = []
+        monkeypatch.setattr(harness, "benchmark", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
         capsys.readouterr()
         assert cli.main([*args, "--out", str(taken)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert calls == []  # the unusable --out failed before any run
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -3,11 +3,11 @@
 Runs all six algorithms, two runs each with an evaluation budget of 50,
 on both paper configs, writes the results directory and the five report
 files, prints ``problem inspect`` for each config (and for
-Styblinski-Tang under scenario s3), and compares their SHA-256 digests
-with those recorded in ``pinned_outputs.json``. The manifest is compared
-with its wall times removed. Float results depend on the numpy and scipy
-builds, so the test skips when their versions differ from the recorded
-ones.
+Styblinski-Tang under scenario s3), writes one run of each config with
+``run --out``, and compares their SHA-256 digests with those recorded in
+``pinned_outputs.json``. Manifests are compared with their wall times
+removed. Float results depend on the numpy and scipy builds, so the test
+skips when their versions differ from the recorded ones.
 
 A change that alters outputs on purpose records new digests with::
 
@@ -37,6 +37,7 @@ REPORTS = (
     ("unsafe", "svg"),
     ("trajectory", "csv"),
 )
+RUN_OUTS = (("sphere", "msafeopt", 1), ("styblinski_s1", "va-ea", 1))
 INSPECTS = (
     ("sphere", ()),
     ("styblinski_s1", ()),
@@ -48,6 +49,18 @@ def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def results_files(outdir: Path) -> dict:
+    """A results directory's run CSVs, and its manifest without wall times."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    for runs in manifest["runs"].values():
+        for meta in runs.values():
+            del meta["wall_time"]
+    files = {"manifest.json": json.dumps(manifest, sort_keys=True).encode()}
+    for path in sorted(outdir.glob("*.csv")):
+        files[path.name] = path.read_bytes()
+    return files
+
+
 def output_digests(workdir: Path) -> dict:
     """SHA-256 of every output file of both configs, keyed by config/name."""
     digests = {}
@@ -56,13 +69,7 @@ def output_digests(workdir: Path) -> dict:
         cfg["problem"]["eval_budget"] = 50
         plan = harness.make_plan(harness.normalize_config(cfg), harness.ALGORITHMS, 2)
         outdir = harness.save_benchmark(harness.benchmark(plan), plan, workdir / name)
-        manifest = json.loads((outdir / "manifest.json").read_text())
-        for runs in manifest["runs"].values():
-            for meta in runs.values():
-                del meta["wall_time"]
-        files = {"manifest.json": json.dumps(manifest, sort_keys=True).encode()}
-        for path in sorted(outdir.glob("*.csv")):
-            files[path.name] = path.read_bytes()
+        files = results_files(outdir)
         for metric, fmt in REPORTS:
             out = workdir / f"{name}-{metric}.{fmt}"
             args = ["report", str(outdir), "--metric", metric, "--format", fmt]
@@ -70,6 +77,14 @@ def output_digests(workdir: Path) -> dict:
             files[f"{metric}.{fmt}"] = out.read_bytes()
         for key, data in files.items():
             digests[f"{name}/{key}"] = hashlib.sha256(data).hexdigest()
+    for name, algo, index in RUN_OUTS:
+        outdir = workdir / f"{name}-run"
+        args = ["run", str(ROOT / "configs" / f"{name}.json"), "--algo", algo,
+                "--run-index", str(index), "--set", "problem.eval_budget=50"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*args, "--out", str(outdir)]) == 0
+        for key, data in results_files(outdir).items():
+            digests[f"{name}/run {algo} {index}/{key}"] = hashlib.sha256(data).hexdigest()
     for name, overrides in INSPECTS:
         config = ROOT / "configs" / f"{name}.json"
         out = io.StringIO()

@@ -148,6 +148,14 @@ class TestEmission:
         text = svg_p.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
+    def test_unsafe_csv_rows_carry_each_runs_own_index(self, tmp_path):
+        # run 1 is missing, as a failed run is from a report
+        runs = [make_result([0.0, 0.0], [True, i == 2], idx=i) for i in (0, 2)]
+        summary = summarize_unsafe(runs)
+        assert (summary.counts, summary.run_indices) == ([1, 2], [0, 2])
+        emit_unsafe_csv({"x": summary}, tmp_path / "u.csv")
+        assert (tmp_path / "u.csv").read_text().splitlines()[1:] == ["x,0,1", "x,2,2"]
+
     def test_trajectory_rows(self, tmp_path):
         results = {
             ("a", 0): make_result([1.0, 2.0]),

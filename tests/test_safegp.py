@@ -240,6 +240,18 @@ class TestLipschitzSafeSetUpdate:
         got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 3.0)
         assert not got.any()
 
+    def test_no_certifier_on_a_2d_grid_gives_an_all_false_mask(self):
+        # every member's lower bound is below h, one of them by a rounding
+        # step: the box scan runs over no certifier at all
+        grid = grid_of(np.linspace(0, 1, 4), np.linspace(-1, 1, 5))
+        prev = np.zeros(grid.n_points, bool)
+        prev[[0, 7, 19]] = True
+        lower = np.full(grid.n_points, np.nan)
+        lower[[0, 7, 19]] = [-2.0, np.nextafter(3.0, 0.0), 2.5]
+        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.5, grid, 3.0)
+        assert got.dtype == bool and got.shape == (grid.n_points,)
+        assert not got.any()
+
     def test_empty_prev_rejected(self):
         grid = grid_of(np.arange(3.0))
         with pytest.raises(ValueError):
