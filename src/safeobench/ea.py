@@ -43,15 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EaParams:
-    """Variation and selection settings.
+    """Variation and VA settings, the fields of the config's ``ea`` section.
 
     ``mutation_prob=None`` resolves to 1/d at construction time. The
     retry cap bounds VA regeneration per offspring slot; when exhausted
     the last candidate is force-accepted and flagged.
     """
 
-    mu: int
-    lam: int
     crossover_prob: float = 0.8
     mutation_prob: Optional[float] = None
     mutation_mean: float = 0.0
@@ -215,11 +213,12 @@ def mu_plus_lambda_select(
 class EaOptimizer:
     """Generational EA driven step-by-step through the evaluation oracle.
 
-    One ``step`` call runs one generation: pairs of parents are chosen by
-    binary tournament, recombined and mutated into two offspring at a
-    time until lam candidates have been evaluated (or the oracle
-    terminates mid-generation), then (mu+lambda) truncation survival is
-    applied on refreshed averaged fitness values.
+    The seeds are the first population, and its size is both mu and
+    lambda. One ``step`` call runs one generation: pairs of parents are
+    chosen by binary tournament, recombined and mutated into two
+    offspring at a time until lambda candidates have been evaluated (or
+    the oracle terminates mid-generation), then (mu+lambda) truncation
+    survival is applied on refreshed averaged fitness values.
     """
 
     def __init__(
@@ -227,7 +226,7 @@ class EaOptimizer:
         problem: SafeOpProblem,
         seed_observations: Sequence[Observation],
         rng: np.random.Generator,
-        params: Optional[EaParams] = None,
+        params: EaParams = EaParams(),
         va_enabled: bool = False,
     ):
         if not seed_observations:
@@ -235,9 +234,7 @@ class EaOptimizer:
         self.bounds = np.asarray(problem.objective.bounds, dtype=float)
         self.rng = rng
         self.va_enabled = va_enabled
-        n_seeds = len(seed_observations)
-        if params is None:
-            params = EaParams(mu=n_seeds, lam=n_seeds)
+        self.mu = len(seed_observations)
         if params.mutation_prob is None:
             params = replace(params, mutation_prob=1.0 / problem.objective.dimension)
         self.params = params
@@ -291,13 +288,12 @@ class EaOptimizer:
 
     def step(self, oracle: Oracle) -> list[Observation]:
         """Run one generation; returns the offspring observations."""
-        lam = self.params.lam
         offspring: list[Individual] = []
         observations: list[Observation] = []
         forced_slots: list[int] = []
-        while len(offspring) < lam and oracle.running:
+        while len(offspring) < self.mu and oracle.running:
             for cand in self._candidate_pair():
-                if len(offspring) >= lam or not oracle.running:
+                if len(offspring) >= self.mu or not oracle.running:
                     break
                 cand, forced = self._screen(cand)
                 obs = oracle.evaluate(cand)
@@ -316,9 +312,7 @@ class EaOptimizer:
         # every fitness before survival selection.
         for ind in self.population + offspring:
             ind.fitness = self.history.mean_at(ind.point)
-        self.population = mu_plus_lambda_select(
-            self.population, offspring, self.params.mu
-        )
+        self.population = mu_plus_lambda_select(self.population, offspring, self.mu)
         self.generation += 1
         self.diagnostics.append(
             {

@@ -417,7 +417,7 @@ def _build_optimizer(
             problem=problem,
             seed_observations=seed_obs,
             rng=rng,
-            params=EaParams(mu=len(seed_obs), lam=len(seed_obs), **cfg["ea"]),
+            params=EaParams(**cfg["ea"]),
             va_enabled=(name == "va-ea"),
         )
     from .gp import KernelSpec
@@ -674,6 +674,13 @@ def _field(mapping, key: str, where, kind: type = object):
     return value
 
 
+def _run_index(text: str) -> Optional[int]:
+    """The run index ``text`` spells in the only form ``save_benchmark``
+    writes, a decimal without leading zeros, or None for any other text."""
+    # isdecimal() admits only characters int() parses
+    return int(text) if text.isdecimal() and str(int(text)) == text else None
+
+
 def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
     """Load a persisted benchmark: (manifest, results keyed by algo/run).
 
@@ -683,8 +690,11 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
     an ``int`` i >= 0 (the only form ``save_benchmark`` writes, so no two
     keys name the same run), a config that does not normalize, and
     a run CSV that does not load, whose record count is not the
-    manifest's ``n_steps`` or exceeds the config's ``max_run_length``.
-    The manifest comes back with its config normalized.
+    manifest's ``n_steps`` or exceeds the config's ``max_run_length``,
+    and a run CSV name (``<algorithm>_run<i>.csv``) in ``outdir`` that the
+    manifest does not list, such as one an earlier ``save_benchmark`` into
+    the same directory left. The manifest comes back with its config
+    normalized.
     """
     outdir = Path(outdir)
     manifest_path = outdir / "manifest.json"
@@ -709,12 +719,11 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
             meta = _field(runs, idx_str, where, dict)
             n_steps = _field(meta, "n_steps", where, int)
             termination = _field(meta, "termination", where, str)
-            # isdecimal() admits only characters int() parses
-            if not (idx_str.isdecimal() and str(int(idx_str)) == idx_str):
+            i = _run_index(idx_str)
+            if i is None:
                 raise ConfigError(
                     f"{where}: run index is not a number without leading zeros"
                 )
-            i = int(idx_str)
             path = outdir / run_csv_name(algo, i)
             records = load_run_csv(path)
             if len(records) != n_steps:
@@ -729,5 +738,14 @@ def load_benchmark(outdir) -> tuple[dict, dict[tuple[str, int], RunResult]]:
                 )
             results[(algo, i)] = RunResult(
                 algo, i, records, termination, error=meta.get("error")
+            )
+    for path in sorted(outdir.glob("*_run*.csv")):
+        algo, _, idx_str = path.name[: -len(".csv")].rpartition("_run")
+        i = _run_index(idx_str)
+        if algo in ALGORITHMS and i is not None and (algo, i) not in results:
+            raise ConfigError(
+                f"{path} is a run CSV that {manifest_path} does not list, "
+                f"left by an earlier save into {outdir}; write each "
+                f"benchmark to a directory of its own"
             )
     return manifest, results

@@ -210,12 +210,23 @@ def _svg_header(title: str) -> list[str]:
     ]
 
 
-def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel) -> list[str]:
-    parts = []
-    if xhi <= xlo:  # one-step runs: the unit span px() in emit_bsf_svg uses
+def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel):
+    """The frame's SVG parts and its data-to-pixel maps ``px`` and ``py``.
+
+    An empty x range (a one-step run) spans one unit from ``xlo``.
+    """
+    if xhi <= xlo:
         xhi = xlo + 1
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT
+
+    def px(x: float) -> float:
+        return x0 + (x - xlo) / (xhi - xlo) * (x1 - x0)
+
+    def py(y: float) -> float:
+        return y0 - (y - ylo) / (yhi - ylo) * (y0 - y1)
+
+    parts = []
     parts.append(
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>'
     )
@@ -223,22 +234,22 @@ def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel) -> list[str]:
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
     )
     for tx in _ticks(xlo, xhi):
-        px = x0 + (tx - xlo) / (xhi - xlo) * (x1 - x0)
+        x = px(tx)
         parts.append(
-            f'<line x1="{_coord(px)}" y1="{y0}" x2="{_coord(px)}" y2="{y0 + 4}" '
+            f'<line x1="{_coord(x)}" y1="{y0}" x2="{_coord(x)}" y2="{y0 + 4}" '
             f'stroke="black"/>'
         )
         parts.append(
-            f'<text x="{_coord(px)}" y="{y0 + 16}" text-anchor="middle">{tx:g}</text>'
+            f'<text x="{_coord(x)}" y="{y0 + 16}" text-anchor="middle">{tx:g}</text>'
         )
     for ty in _ticks(ylo, yhi):
-        py = y0 - (ty - ylo) / (yhi - ylo) * (y0 - y1)
+        y = py(ty)
         parts.append(
-            f'<line x1="{x0 - 4}" y1="{_coord(py)}" x2="{x0}" y2="{_coord(py)}" '
+            f'<line x1="{x0 - 4}" y1="{_coord(y)}" x2="{x0}" y2="{_coord(y)}" '
             f'stroke="black"/>'
         )
         parts.append(
-            f'<text x="{x0 - 6}" y="{_coord(py + 3)}" text-anchor="end">{ty:.4g}</text>'
+            f'<text x="{x0 - 6}" y="{_coord(y + 3)}" text-anchor="end">{ty:.4g}</text>'
         )
     parts.append(
         f'<text x="{(x0 + x1) / 2:.0f}" y="{_H - 8}" text-anchor="middle">{xlabel}</text>'
@@ -247,7 +258,7 @@ def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel) -> list[str]:
         f'<text x="14" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 14 {(y0 + y1) / 2:.0f})">{ylabel}</text>'
     )
-    return parts
+    return parts, px, py
 
 
 def emit_bsf_svg(aggregates: dict[str, AggregateSeries], path) -> None:
@@ -263,17 +274,9 @@ def emit_bsf_svg(aggregates: dict[str, AggregateSeries], path) -> None:
     span = yhi - ylo
     ylo -= 0.05 * span
     yhi += 0.05 * span
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
-
-    def px(step: float) -> float:
-        return x0 + (step - 1) / max(budget - 1, 1) * (x1 - x0)
-
-    def py(v: float) -> float:
-        return y0 - (v - ylo) / (yhi - ylo) * (y0 - y1)
-
-    parts = _svg_header("mean best-so-far objective value")
-    parts += _axes(1, budget, ylo, yhi, "function evaluations", "mean BSF")
+    frame, px, py = _axes(1, budget, ylo, yhi, "function evaluations", "mean BSF")
+    parts = _svg_header("mean best-so-far objective value") + frame
+    legend_x = _W - _MR
     for ci, algo in enumerate(algos):
         agg = aggregates[algo]
         color = _PALETTE[ci % len(_PALETTE)]
@@ -293,10 +296,10 @@ def emit_bsf_svg(aggregates: dict[str, AggregateSeries], path) -> None:
         )
         ly = _MT + 14 * ci
         parts.append(
-            f'<line x1="{x1 - 130}" y1="{ly}" x2="{x1 - 110}" y2="{ly}" '
+            f'<line x1="{legend_x - 130}" y1="{ly}" x2="{legend_x - 110}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{x1 - 105}" y="{ly + 4}">{algo}</text>')
+        parts.append(f'<text x="{legend_x - 105}" y="{ly + 4}">{algo}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
@@ -307,16 +310,12 @@ def emit_unsafe_svg(summaries: dict[str, UnsafeSummary], path) -> None:
     if not algos:
         raise ValueError("nothing to plot")
     yhi = max(max(s.maximum for s in summaries.values()), 1.0) * 1.1
-    ylo = 0.0
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
-    slot = (x1 - x0) / len(algos)
-
-    def py(v: float) -> float:
-        return y0 - (v - ylo) / (yhi - ylo) * (y0 - y1)
-
-    parts = _svg_header("final unsafe evaluation counts")
-    parts += _axes(0, len(algos), ylo, yhi, "", "unsafe evaluations")
+    frame, _, py = _axes(0, len(algos), 0.0, yhi, "", "unsafe evaluations")
+    parts = _svg_header("final unsafe evaluation counts") + frame
+    # Box centres as x0 + slot * (ci + 0.5), not px(ci + 0.5), whose
+    # operations round differently.
+    x0, y0 = _ML, _H - _MB
+    slot = (_W - _MR - x0) / len(algos)
     for ci, algo in enumerate(algos):
         s = summaries[algo]
         color = _PALETTE[ci % len(_PALETTE)]

@@ -442,12 +442,6 @@ class SafeGpOptimizer:
             raise ValueError("need at least one seed observation")
         self.variant = variant
         self.uses_lipschitz = variant in LIPSCHITZ_VARIANTS
-        if self.uses_lipschitz:
-            self.lipschitz = problem.lipschitz
-            if not self.lipschitz > 0:
-                raise ValueError(f"{variant} requires a positive lipschitz constant")
-        else:
-            self.lipschitz = 0.0
         self.grid = problem.grid
         self.kernel = kernel or KernelSpec()
         self.beta = float(beta)
@@ -463,26 +457,31 @@ class SafeGpOptimizer:
         for o in seed_observations:
             self.safe_mask[self.grid.index_of(o.point)] = True
 
-        self.model: Optional[GpModel] = None
-        self.m_mask = np.zeros(self.grid.n_points, dtype=bool)
-        self.g_mask = np.zeros(self.grid.n_points, dtype=bool)
-        # Posterior kept across steps at the tracked grid points, in the
-        # order first tracked: the whole grid (a slice, so the arrays are
-        # views) for the Lipschitz-free variants, every point ever marked
-        # safe for the Lipschitz ones. _mean, _var, _std and V's columns
-        # follow that order. V's rows pair with the model's z and fill a
-        # buffer sized for the longest run (evaluation budget plus seeds)
-        # top-down; _v views its first n rows and tracked columns. Column-
-        # major, so the expander test's column blocks are plain slices and
-        # the Lipschitz variants touch only the buffer's leading pages.
-        # Bounds span the grid and stay NaN where not tracked.
+        # The Lipschitz variants' constant and the tracked grid points,
+        # where the posterior is kept across steps in the order first
+        # tracked: every point ever marked safe for the Lipschitz variants,
+        # the whole grid (a slice, so the arrays are views) for the others.
+        # _mean, _var, _std and V's columns follow that order.
         if self.uses_lipschitz:
+            self.lipschitz = problem.lipschitz
+            if not self.lipschitz > 0:
+                raise ValueError(f"{variant} requires a positive lipschitz constant")
             self._track = np.flatnonzero(self.safe_mask)
             self._tracked = self.safe_mask.copy()
         else:
+            self.lipschitz = 0.0
             self._track = slice(None)
-        rows = problem.eval_budget + len(seed_observations)
-        self._v_buffer = np.empty((rows, self.grid.n_points), order="F")
+        self.model: Optional[GpModel] = None
+        self.m_mask = np.zeros(self.grid.n_points, dtype=bool)
+        self.g_mask = np.zeros(self.grid.n_points, dtype=bool)
+        # V's rows pair with the model's z and fill top-down a buffer that
+        # the first ``step`` sizes from its oracle: a row for each training
+        # point so far and each record the oracle can still log. _v views
+        # its first n rows and tracked columns. Column-major, so the
+        # expander test's column blocks are plain slices and the Lipschitz
+        # variants touch only the buffer's leading pages. Bounds span the
+        # grid and stay NaN where not tracked.
+        self._v_buffer: Optional[np.ndarray] = None
         self._v: Optional[np.ndarray] = None
         self._mean: Optional[np.ndarray] = None
         self._var: Optional[np.ndarray] = None
@@ -580,6 +579,9 @@ class SafeGpOptimizer:
 
     def step(self, oracle: Oracle) -> Observation:
         """Run one iteration: refit, update sets, select, evaluate."""
+        if self._v_buffer is None:
+            rows = len(self._x) + oracle.budget - len(oracle.log)
+            self._v_buffer = np.empty((rows, self.grid.n_points), order="F")
         self._refit()
         self._update()
         if self.variant in _WIDTH_VARIANTS:

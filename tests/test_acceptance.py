@@ -309,8 +309,6 @@ def test_c10_ea_invariants():
             seed_obs,
             np.random.default_rng(rng.integers(2**32)),
             params=EaParams(
-                mu=mu,
-                lam=mu,
                 crossover_prob=float(rng.uniform(0, 1)),
                 mutation_prob=float(rng.uniform(0.1, 1.0)),
                 mutation_std=float(rng.uniform(0.05, 1.5)),

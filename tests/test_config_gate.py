@@ -4,6 +4,8 @@ A value it accepts must carry a run through the whole pipeline; a value
 it rejects must stop the CLI with exit code 2 before any run starts.
 """
 
+import dataclasses
+import inspect
 import json
 import math
 import tempfile
@@ -14,8 +16,11 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from safeobench import cli
+from safeobench.ea import EaParams
+from safeobench.gp import KernelSpec
 from safeobench.harness import (
     ALGORITHMS,
+    CONFIG_SCHEMA,
     TERMINATION_FAILED,
     ConfigError,
     benchmark,
@@ -24,7 +29,8 @@ from safeobench.harness import (
     save_benchmark,
 )
 from safeobench.problems import Scenario
-from safeobench.safeop import InfeasibleScenarioError
+from safeobench.safegp import SafeGpOptimizer
+from safeobench.safeop import InfeasibleScenarioError, SafeOpProblem
 
 FAST_PROBLEM = {"nodes_per_axis": 30, "eval_budget": 20, "n_seeds": 4}
 
@@ -73,6 +79,22 @@ def test_lipschitz_variants_need_a_positive_estimate(tmp_path, capsys):
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_library_defaults_are_the_config_defaults():
+    def default(section, key):
+        return CONFIG_SCHEMA[section][key][0]
+
+    ea = {f.name: f.default for f in dataclasses.fields(EaParams)}
+    assert ea == {key: default("ea", key) for key in CONFIG_SCHEMA["ea"]}
+    assert KernelSpec() == KernelSpec(
+        lengthscale=default("gp", "lengthscale"),
+        signal_variance=default("gp", "signal_variance"),
+    )
+    beta = inspect.signature(SafeGpOptimizer).parameters["beta"].default
+    assert beta == default("gp", "beta")
+    fields = {f.name: f.default for f in dataclasses.fields(SafeOpProblem)}
+    assert fields["seed_confidence"] == default("problem", "seed_confidence")
 
 
 # ---------------------------------------------------------------------------

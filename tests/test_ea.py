@@ -312,7 +312,7 @@ def primed_ea(problem, n_seeds=4, va=False, master=7, **params):
         problem,
         seed_obs,
         np.random.default_rng(master + 2),
-        params=EaParams(mu=n_seeds, lam=n_seeds, **params) if params else None,
+        params=EaParams(**params),
         va_enabled=va,
     )
     return oracle, opt
@@ -381,9 +381,7 @@ class TestGenerationStep:
         oracle, opt = primed_ea(problem, n_seeds=4)
         # force duplicates: no crossover, no mutation -> offspring repeat
         # parent points exactly and re-evaluations accumulate
-        opt.params = EaParams(
-            mu=4, lam=4, crossover_prob=0.0, mutation_prob=0.0, mutation_std=0.0
-        )
+        opt.params = EaParams(crossover_prob=0.0, mutation_prob=0.0, mutation_std=0.0)
         opt.step(oracle)
         pts = [i.point for i in opt.population]
         dup = max(set(pts), key=pts.count)
@@ -437,7 +435,7 @@ class TestVaScreening:
             problem,
             seed_obs,
             np.random.default_rng(2),
-            params=EaParams(mu=2, lam=2, retry_cap=5),
+            params=EaParams(retry_cap=5),
             va_enabled=True,
         )
         # poison the history: a duplicate of every seed marked unsafe makes
@@ -465,7 +463,7 @@ class TestVaScreening:
             problem,
             seed_obs,
             np.random.default_rng(2),
-            params=EaParams(mu=2, lam=2, retry_cap=50),
+            params=EaParams(retry_cap=50),
             va_enabled=True,
         )
         evals_before = len(oracle.log)
@@ -526,7 +524,7 @@ class TestReferenceHistory:
                 problem,
                 seed_obs,
                 np.random.default_rng(43),
-                params=EaParams(mu=10, lam=10, mutation_std=1.0, retry_cap=3),
+                params=EaParams(mutation_std=1.0, retry_cap=3),
                 va_enabled=True,
             )
         assert isinstance(opt.history, history_cls)
@@ -628,7 +626,7 @@ class TestReferenceOracleAndVariation:
                 problem,
                 seed_obs,
                 np.random.default_rng(43),
-                params=EaParams(mu=10, lam=10, mutation_std=1.0, retry_cap=3),
+                params=EaParams(mutation_std=1.0, retry_cap=3),
                 va_enabled=va,
             )
             while oracle.running:

@@ -746,6 +746,32 @@ class TestCli:
             f"unsafe-ea,{i},{runs[str(i)]['final_unsafe']}" for i in (0, 2)
         ]
 
+    @pytest.mark.parametrize("first,second", [
+        (["benchmark", "--algos", "va-ea", "--runs", "3"],
+         ["benchmark", "--algos", "unsafe-ea", "--runs", "2"]),
+        (["run", "--algo", "va-ea", "--run-index", "0"],
+         ["run", "--algo", "va-ea", "--run-index", "1"]),
+    ], ids=["benchmark", "run"])
+    def test_report_on_run_csvs_of_an_earlier_save_exits_2(
+        self, first, second, tmp_path, capsys
+    ):
+        cfg, outdir = self._write_cfg(tmp_path), tmp_path / "bench"
+        report = ["report", str(outdir), "--metric", "unsafe"]
+
+        def save(command, *options):
+            assert cli.main([command, cfg, *options, "--out", str(outdir)]) == 0
+
+        save(*first)
+        # report outputs and other CSVs in the directory are no run CSVs
+        for name in ("unsafe.csv", "notes_run0.csv", "va-ea_run01.csv"):
+            (outdir / name).write_text("x\n")
+        assert cli.main([*report, "--out", str(outdir / "unsafe.csv")]) == 0
+        save(*second)
+        capsys.readouterr()
+        assert cli.main([*report, "--out", str(tmp_path / "unsafe.csv")]) == 2
+        assert "va-ea_run0.csv is a run CSV that" in capsys.readouterr().err
+        assert not (tmp_path / "unsafe.csv").exists()
+
     @pytest.mark.parametrize("command", ["benchmark", "run"])
     @pytest.mark.parametrize("overrides,code", [
         (["problem.n_seeds=0"], 2),

@@ -167,6 +167,17 @@ class TestEmission:
         assert lines[0] == "algorithm,run_index,step,x1,x2"
         assert len(lines) == 4
 
+    def test_one_step_budget_starts_at_the_frame_edge(self, tmp_path):
+        # An x range of one step spans one unit from step 1, so the lone
+        # point sits on the frame's left edge.
+        import xml.etree.ElementTree as ET
+
+        runs = [make_result([2.0], idx=i) for i in range(2)]
+        path = tmp_path / "b.svg"
+        emit_bsf_svg({"a": aggregate_bsf(runs, 1)}, path)
+        (line,) = ET.fromstring(path.read_text()).iter("{http://www.w3.org/2000/svg}polyline")
+        assert line.get("points").split(",")[0] == "60.00"
+
     def test_svg_is_valid_xml(self, tmp_path):
         import xml.etree.ElementTree as ET
 

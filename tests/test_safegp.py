@@ -921,6 +921,41 @@ class TestLipschitzExpanderCache:
         assert len(built) == changes
 
 
+class TestVBufferSize:
+    # V's buffer holds a row for each training point the run can reach,
+    # which the oracle decides, not the problem's evaluation budget.
+    @pytest.mark.parametrize("variant", ["msafeopt", "safeopt"])
+    def test_oracle_budget_above_the_problem_budget(self, variant):
+        problem = SafeOpProblem(make_objective("sphere"), nodes_per_axis=20,
+                                percentile=90.0, noise_std=0.1, eval_budget=20)
+        oracle = Oracle(problem, np.random.default_rng(0), budget=40)
+        seeds = sample_safe_seeds(problem, 3, np.random.default_rng(1))
+        opt = SafeGpOptimizer(variant, problem, oracle.prime(seeds))
+        while oracle.running:
+            opt.step(oracle)
+        assert len(oracle.log) == 40
+        assert opt._v_buffer.shape[0] == 40
+
+    @pytest.mark.parametrize("seeds_consume_budget", [True, False])
+    @pytest.mark.parametrize("variant", ["msafeopt", "safe-ucb"])
+    def test_rows_are_the_max_run_length(self, variant, seeds_consume_budget, monkeypatch):
+        cfg = harness.normalize_config({"problem": {
+            "nodes_per_axis": 20, "eval_budget": 12, "n_seeds": 4,
+            "seeds_consume_budget": seeds_consume_budget,
+        }})
+        built = []
+        build = harness._build_optimizer
+
+        def keep(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "_build_optimizer", keep)
+        result = harness.run(harness.make_plan(cfg, [variant], 1), variant, 0)
+        assert result.n_steps == harness.max_run_length(cfg)
+        assert built[0]._v_buffer.shape[0] == harness.max_run_length(cfg)
+
+
 class TestOptimizerConstruction:
     def test_lipschitz_required(self):
         # a 2x2 grid on the symmetric sphere domain is flat: estimate L = 0
