@@ -94,6 +94,8 @@ def cmd_run(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load(args)
+    if args.jobs < 1:
+        raise harness.ConfigError("--jobs must be >= 1")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     plan = harness.make_plan(cfg, algos, args.runs)
     Path(args.out).mkdir(parents=True, exist_ok=True)  # fails before any run

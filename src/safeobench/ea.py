@@ -84,14 +84,8 @@ class EvalHistory:
         self._order: list[tuple[float, ...]] = []
         # point -> (its values, their mean, safety flag of its latest record)
         self._data: dict[tuple[float, ...], tuple[list[float], float, bool]] = {}
-        # Rows [0, len(self)) hold the distinct points in insertion order.
+        # Rows [0, len(self._order)) hold the distinct points in insertion order.
         self._points: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, point) -> bool:
-        return tuple(point) in self._data
 
     def record(self, obs: Observation) -> None:
         point, y = obs.point, obs.y

@@ -30,10 +30,15 @@ the first step and when the extension breaks down.
   when a fictitious noiseless observation u(c) at c would lift some
   outside point u to l(u) >= h. In closed form that depends on u only
   through one threshold per grid point, computed once per step, so each
-  (c, u) pair costs one entry of a matmul, k(c, u) - v_c . v_u, and one
-  comparison. The outside points with the highest lower bounds are
-  tested first; candidates still undecided then sweep the grid in
-  contiguous column blocks of V.
+  (c, u) pair costs one entry of the posterior covariance
+  k(c, u) - v_c . v_u and one comparison. The outside points with the
+  highest lower bounds are tested first. Most candidates still undecided
+  then are the same from step to step, so the optimizer keeps their
+  covariance rows over the grid: each step downdates them by the new
+  V row r, cov(c, .) -= r_c * r, and a kept row decides its candidate
+  with one comparison over the live columns. At most ``_ROW_CAP`` rows
+  are kept; candidates past the cap are computed and compared in column
+  blocks, and a refactored GP drops every row.
 
 Selection: the "opt" variants pick the widest confidence interval among
 maximizers (safe points whose upper bound reaches the best safe lower
@@ -93,9 +98,13 @@ _WIDTH_VARIANTS = ("safeopt", "msafeopt")  # the others select by UCB
 # screening expander candidates.
 _VAR_FLOOR = 1e-12
 # Expander scan (``_expanders_modified``): the outside points tested first,
-# then the width of the grid-order column blocks tested after them.
+# the most covariance rows the optimizer keeps for candidates undecided by
+# them, and the most entries in one block of rows computed on the fly.
+# Together they bound the scan's memory: _ROW_CAP * n_points floats kept
+# across steps, and a few blocks of _BLOCK floats within one.
 _FIRST_BLOCK = 128
-_COLUMN_BLOCK = 2048
+_ROW_CAP = 32
+_BLOCK = 1 << 14
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -282,6 +291,49 @@ def _lift_thresholds(
     return need, low
 
 
+class _CovarianceRows:
+    """Posterior covariance rows cov(c, .) = k(c, .) - v_c . V over the
+    whole grid, for at most ``_ROW_CAP`` expander candidates c, kept
+    across steps by one optimizer.
+
+    ``slot`` maps each grid point that has a row to its row of
+    ``buffer``. The buffer is allocated on the first claim, and its pages
+    are touched only as slots fill, lowest first.
+    """
+
+    def __init__(self, n_points: int) -> None:
+        self.n_points = n_points
+        self.cap = _ROW_CAP
+        self.slot: dict[int, int] = {}
+        self.buffer: Optional[np.ndarray] = None
+
+    def downdate(self, r: np.ndarray) -> None:
+        """Condition every row on one more training point whose V row, in
+        grid order, is ``r``."""
+        for c, i in self.slot.items():
+            self.buffer[i] -= r[c] * r
+
+    def clear(self) -> None:
+        self.slot.clear()
+
+    def keep(self, idx: np.ndarray) -> None:
+        """Drop the rows of the grid points not in ``idx``."""
+        kept = set(idx.tolist())
+        self.slot = {c: i for c, i in self.slot.items() if c in kept}
+
+    def claim(self, idx: np.ndarray) -> tuple[list[int], list[int]]:
+        """Free slots for the points of ``idx`` that have no row, in order,
+        while slots last; returns the slots and their points, whose rows
+        the caller fills."""
+        free = sorted(set(range(self.cap)).difference(self.slot.values()))
+        new = [c for c in idx.tolist() if c not in self.slot][: len(free)]
+        free = free[: len(new)]
+        if new and self.buffer is None:
+            self.buffer = np.empty((self.cap, self.n_points))
+        self.slot.update(zip(new, free))
+        return free, new
+
+
 def _expanders_modified(
     safe_mask: np.ndarray,
     shape: tuple[int, ...],
@@ -292,6 +344,7 @@ def _expanders_modified(
     beta: float,
     threshold: float,
     v_grid: np.ndarray,
+    rows: _CovarianceRows,
 ) -> np.ndarray:
     """Expanders for the Lipschitz-free variants.
 
@@ -299,61 +352,90 @@ def _expanders_modified(
     fictitious noiseless observation (c, u(c)) lifts the lower bound of
     some outside point u to the threshold. In closed form
     (``_lift_thresholds``) that compares the posterior covariance
-    k(c, u) - v_c . v_u with a threshold per point u, scaled by sd_c (a
-    second comparison only where some point's lower bound already
-    reaches the threshold); restricting candidates to the safe-set
-    boundary keeps the cost linear in the boundary size. ``v_grid`` is
-    the whitened cross-kernel L^-1 k(X, points) of ``model``; candidates
-    whose posterior variance is at most ``_VAR_FLOOR`` never expand.
+    cov(c, u) = k(c, u) - v_c . v_u with a threshold per point u, scaled
+    by sd_c (a second comparison only where some point's lower bound
+    already reaches the threshold); restricting candidates to the
+    safe-set boundary keeps the cost linear in the boundary size.
+    ``v_grid`` is the whitened cross-kernel L^-1 k(X, points) of
+    ``model``; candidates whose posterior variance is at most
+    ``_VAR_FLOOR`` never expand.
 
     Outside points close to the threshold need the smallest lift, so the
     ``_FIRST_BLOCK`` liftable outside points with the highest lower bound
-    are tested first, and most expanders are decided there. Candidates
-    still undecided then sweep the grid in contiguous blocks of
-    ``_COLUMN_BLOCK`` columns, which slice ``v_grid`` and ``points``
-    without gathers; safe and unliftable points in a block have an
-    infinite threshold and never count.
+    are tested first, and most expanders are decided there. A candidate
+    still undecided needs every live column, and it is mostly one of the
+    last step's. ``rows`` keeps such candidates' covariance rows across
+    calls:
+
+    * the optimizer downdates every kept row with each new V row, and
+      drops them all when the GP is refactored;
+    * here, the rows of points no longer undecided are dropped, and each
+      new undecided point gets a row while fewer than ``_ROW_CAP`` are
+      kept;
+    * a kept row decides its candidate with one comparison over the span
+      of live columns.
+
+    The candidates past the cap are computed and compared over the span
+    in contiguous column blocks of at most ``_BLOCK`` entries, which slice
+    ``v_grid`` and ``points`` without gathers, and drop out once decided.
+    New rows are filled in blocks of the same size. Safe and unliftable
+    points have an infinite threshold and never count.
     """
     mask = np.zeros(safe_mask.size, dtype=bool)
     need, low = _lift_thresholds(safe_mask, mean, std, beta, threshold)
     live = np.flatnonzero(need < np.inf)
-    if live.size == 0:
-        return mask
     cand = boundary_candidates(safe_mask, shape)
     cand = cand[np.square(std[cand]) > _VAR_FLOOR]
-    if cand.size == 0:
+    if live.size == 0 or cand.size == 0:
+        rows.clear()
         return mask
-    v_cand = v_grid[:, cand]
-    sd_cand = std[cand][:, None]
     two_sided = bool(np.any(low[live] > -np.inf))
 
-    def lifts(rows: np.ndarray, cols) -> np.ndarray:
-        """For each candidate position in ``rows``, whether it lifts some
-        grid point in ``cols``."""
-        cov = kernel_matrix(model.kernel, points[cand[rows]], points[cols])
-        cov -= v_cand[:, rows].T @ v_grid[:, cols]
-        sd = sd_cand[rows]
-        hit = cov >= sd * need[cols]
-        if two_sided:
-            hit |= cov <= sd * low[cols]
-        return hit.any(axis=1)
+    def cov(idx, cols) -> np.ndarray:
+        """Posterior covariance of grid points ``idx`` with ``cols``."""
+        out = kernel_matrix(model.kernel, points[idx], points[cols])
+        out -= v_grid[:, idx].T @ v_grid[:, cols]
+        return out
 
-    undecided = np.arange(cand.size)
+    def lifts(cov_c: np.ndarray, sd, cols) -> np.ndarray:
+        """Whether each covariance row lifts some point in ``cols``."""
+        hit = cov_c >= sd * need[cols]
+        if two_sided:
+            hit |= cov_c <= sd * low[cols]
+        return hit.any(axis=-1)
+
+    def blocks(n_rows: int, start: int, stop: int):
+        """Column slices of [start, stop) with at most ``_BLOCK`` entries
+        for ``n_rows`` rows."""
+        width = max(1, _BLOCK // max(n_rows, 1))
+        return (slice(j, min(j + width, stop)) for j in range(start, stop, width))
+
     first = live
     if live.size > _FIRST_BLOCK:
         lower = mean[live] - beta * std[live]
         first = live[np.argpartition(-lower, _FIRST_BLOCK - 1)[:_FIRST_BLOCK]]
-    hit = lifts(undecided, first)
+    hit = lifts(cov(cand, first), std[cand][:, None], first)
     mask[cand[hit]] = True
-    undecided = undecided[~hit]
-    if first.size < live.size:
-        end = live[-1] + 1
-        for start in range(live[0], end, _COLUMN_BLOCK):
-            if undecided.size == 0:
-                break
-            hit = lifts(undecided, slice(start, min(start + _COLUMN_BLOCK, end)))
-            mask[cand[undecided[hit]]] = True
-            undecided = undecided[~hit]
+    undecided = cand[~hit]
+    rows.keep(undecided)
+    if first.size == live.size or undecided.size == 0:
+        return mask
+
+    slots, new = rows.claim(undecided)
+    if new:
+        for cols in blocks(len(new), 0, rows.n_points):
+            rows.buffer[slots, cols] = cov(new, cols)
+    span = slice(live[0], live[-1] + 1)
+    for c, i in rows.slot.items():
+        mask[c] = lifts(rows.buffer[i, span], std[c], span)
+
+    rest = np.array([c for c in undecided.tolist() if c not in rows.slot], dtype=np.intp)
+    for cols in blocks(rest.size, span.start, span.stop):
+        if rest.size == 0:
+            break
+        hit = lifts(cov(rest, cols), std[rest][:, None], cols)
+        mask[rest[hit]] = True
+        rest = rest[~hit]
     return mask
 
 
@@ -379,6 +461,7 @@ def compute_expanders(
         state.beta,
         state.threshold_z,
         state._v,
+        state._cov_rows,
     )
 
 
@@ -488,6 +571,10 @@ class SafeGpOptimizer:
         self._std: Optional[np.ndarray] = None
         nan = np.full(self.grid.n_points, np.nan)
         self._bounds = ConfidenceBounds(nan, nan.copy())
+        # Lipschitz-free expanders: the covariance rows kept across steps.
+        # ``_update`` downdates them with V's new row in tracked order,
+        # which is grid order for the variants that keep rows.
+        self._cov_rows = _CovarianceRows(self.grid.n_points)
         # Lipschitz expanders: nearest-outside distances of the safe points
         # and the safe mask they were computed for.
         self._outside_dist: Optional[np.ndarray] = None
@@ -533,7 +620,8 @@ class SafeGpOptimizer:
             # posterior was computed for, by one point x. With the new
             # factor row [l^T, d], V gains the row (k(x, .) - l^T V) / d,
             # and with the model's newest weight z_n the mean and variance
-            # change by z_n * row and -row^2.
+            # change by z_n * row and -row^2, each kept covariance row of a
+            # point c by -row[c] * row.
             l, d = model.chol[-1, :-1], model.chol[-1, -1]
             row = kernel_matrix(self.kernel, model.train_points[-1:], points)[0]
             row -= l @ self._v
@@ -541,10 +629,12 @@ class SafeGpOptimizer:
             self._v_buffer[n - 1, : row.size] = row
             self._mean += model.z[-1] * row
             self._var -= np.square(row)
+            self._cov_rows.downdate(row)
         else:
             self._mean, std, v = posterior_detail(model, points)
             self._var = np.square(std)
             self._v_buffer[:n, : v.shape[1]] = v
+            self._cov_rows.clear()
         self._v = self._v_buffer[:n, : self._mean.size]
         self._std = np.sqrt(np.clip(self._var, 0.0, None))
         self._set_bounds(self._track, self._mean, self._std)

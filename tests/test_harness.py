@@ -801,6 +801,16 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_benchmark_rejects_jobs_below_one(self, jobs, tmp_path, capsys, monkeypatch):
+        outdir = tmp_path / "bench"
+        calls = []
+        monkeypatch.setattr(harness, "benchmark", lambda *a, **k: calls.append(a))
+        args = ["benchmark", self._write_cfg(tmp_path), "--algos", "va-ea", "--runs", "2"]
+        assert cli.main([*args, "--jobs", jobs, "--out", str(outdir)]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert calls == [] and not outdir.exists()
+
     @pytest.mark.parametrize("corrupt", [
         _cut_to_header, _short_row, _non_numeric_field, _truncate_manifest,
         _drop_config, _drop_runs, _drop_n_steps, _drop_termination,

@@ -134,6 +134,12 @@ def reference_expanders_modified(
     return mask
 
 
+def expanders_modified(*args):
+    """``_expanders_modified`` with a fresh row store, as on an optimizer's
+    first expander test."""
+    return _expanders_modified(*args, safegp._CovarianceRows(args[0].size))
+
+
 def grid_of(*axes):
     """Grid over sorted ``axes``: their row-major product, zero values."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
@@ -463,7 +469,7 @@ class TestModifiedExpanders:
     def test_matches_dense_refit_oracle(self, seed):
         pts, model, mean, std, safe = self._setup(seed)
         beta, h = 2.0, float(np.percentile(mean, 60))
-        got = _expanders_modified(
+        got = expanders_modified(
             safe, (pts.shape[0],), pts, model, mean, std, beta, h,
             posterior_detail(model, pts)[2],
         )
@@ -500,7 +506,7 @@ class TestModifiedExpanders:
         pts = np.arange(4.0).reshape(-1, 1)
         model = gp_fit(KernelSpec(), 0.1, [[0.0]], [1.0])
         mean, std = gp_posterior(model, pts)
-        g = _expanders_modified(
+        g = expanders_modified(
             np.ones(4, bool), (4,), pts, model, mean, std, 2.0, 0.0,
             posterior_detail(model, pts)[2],
         )
@@ -511,7 +517,7 @@ class TestModifiedExpanders:
         """Expanders against a dense refit per boundary candidate whose
         variance is above the floor; returns how many of those do not
         expand and how many do."""
-        got = _expanders_modified(
+        got = expanders_modified(
             safe, shape, pts, model, mean, std, beta, h, posterior_detail(model, pts)[2]
         )
         outside = np.flatnonzero(~safe)
@@ -528,16 +534,21 @@ class TestModifiedExpanders:
                 decided[margin >= 0] += 1
         return decided
 
-    @pytest.mark.parametrize("blocks", [None, (1, 100)], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize(
+        "blocks", [None, (1, 0, 100), (1, 1, 100)],
+        ids=["default-blocks", "small-blocks", "one-row-small-blocks"],
+    )
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_2d_matches_dense_refit_oracle(self, seed, blocks, monkeypatch):
-        # More liftable outside points than the first block, a grid wider
-        # than one column block, and one outside point whose lower bound
-        # already reaches h (t_u in (-sqrt 2, -1]). Small blocks make most
-        # expanders be decided in the column sweep.
+        # More liftable outside points than the first block, more rows x
+        # columns than one block holds, and one outside point whose lower
+        # bound already reaches h (t_u in (-sqrt 2, -1]). With small blocks
+        # most expanders are decided past a first block of one: by the
+        # blocks computed on the fly, with no kept row or with one.
         if blocks:
             monkeypatch.setattr(safegp, "_FIRST_BLOCK", blocks[0])
-            monkeypatch.setattr(safegp, "_COLUMN_BLOCK", blocks[1])
+            monkeypatch.setattr(safegp, "_ROW_CAP", blocks[1])
+            monkeypatch.setattr(safegp, "_BLOCK", blocks[2])
         rng = np.random.default_rng(seed)
         axis = np.linspace(-3, 3, 48)
         pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
@@ -558,7 +569,8 @@ class TestModifiedExpanders:
         t = (h - mean[outside]) / (beta * std[outside])
         assert np.sum(t <= -1) == 1 and t.min() > -np.sqrt(2)
         assert np.sum(t <= 1) > safegp._FIRST_BLOCK
-        assert pts.shape[0] > safegp._COLUMN_BLOCK
+        n_cand = boundary_candidates(safe, (48, 48)).size
+        assert n_cand * pts.shape[0] > safegp._BLOCK
         n_no, n_yes = self.assert_matches_oracle(
             pts, (48, 48), model, mean, std, safe, beta, h
         )
@@ -572,7 +584,7 @@ class TestModifiedExpanders:
         outside_best = float(mean[~safe].max())
         cases = ((outside_best - 0.1, True), (outside_best, True), (outside_best + 0.1, False))
         for h, expands in cases:
-            got = _expanders_modified(
+            got = expanders_modified(
                 safe, (pts.shape[0],), pts, model, mean, std, 0.0, h,
                 posterior_detail(model, pts)[2],
             )
@@ -599,7 +611,7 @@ class TestModifiedExpanders:
         safe[8:13] = True
         h = 0.0
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            got = _expanders_modified(
+            got = expanders_modified(
                 safe, (20,), pts, model, mean, std, 2.0, h, posterior_detail(model, pts)[2]
             )
         cand = boundary_candidates(safe, (20,))
@@ -622,7 +634,7 @@ class TestModifiedExpanders:
         safe = np.array([False, True, True, False, False])
         need, low = safegp._lift_thresholds(safe, mean, std, beta, h)
         np.testing.assert_allclose([need[3] / std[3], low[3] / std[3]], [-0.6, -0.8])
-        got = _expanders_modified(
+        got = expanders_modified(
             safe, (5,), pts, model, mean, std, beta, h, posterior_detail(model, pts)[2]
         )
         np.testing.assert_array_equal(got, [False, True, False, False, False])
@@ -631,19 +643,24 @@ class TestModifiedExpanders:
     def test_last_grid_column_decides(self, monkeypatch):
         # The one outside point c can lift is the last grid index; the far
         # point at -10 has the higher lower bound, so it alone fills a first
-        # block of one, and the sweep must reach the final column block.
+        # block of one. Without a kept row the blocks of two columns must
+        # reach the final one; a kept row must span it.
         monkeypatch.setattr(safegp, "_FIRST_BLOCK", 1)
-        monkeypatch.setattr(safegp, "_COLUMN_BLOCK", 2)
+        monkeypatch.setattr(safegp, "_BLOCK", 2)
         pts = np.array([[-10.0], [-1.0], [0.0], [0.3]])
         model = gp_fit(KernelSpec(lengthscale=1.0, signal_variance=1.0), 0.1, [[-1.0]], [-0.5])
         mean, std = gp_posterior(model, pts)
         safe = np.array([False, False, True, False])
         lower = mean - std
         assert lower[0] > lower[3]
-        got = _expanders_modified(
-            safe, (4,), pts, model, mean, std, 1.0, 0.0, posterior_detail(model, pts)[2]
-        )
-        np.testing.assert_array_equal(got, safe)
+        for cap in (0, 1):
+            monkeypatch.setattr(safegp, "_ROW_CAP", cap)
+            rows = safegp._CovarianceRows(4)
+            got = _expanders_modified(
+                safe, (4,), pts, model, mean, std, 1.0, 0.0, posterior_detail(model, pts)[2], rows
+            )
+            np.testing.assert_array_equal(got, safe)
+            assert list(rows.slot) == [2] * cap
         assert self.assert_matches_oracle(pts, (4,), model, mean, std, safe, 1.0, 0.0) == [0, 1]
 
     def test_thresholds_match_the_direct_condition(self):
@@ -666,21 +683,35 @@ class TestModifiedExpanders:
 
 class TestReferenceExpanders:
     """``_expanders_modified`` against ``reference_expanders_modified`` at
-    every step of msafeopt runs on the paper's configs."""
+    every step of msafeopt runs on the paper's configs, and each kept
+    covariance row against a fresh k(c, grid) - v_c^T V both when the
+    step's test starts (downdated since the last step) and when it ends
+    (new rows filled)."""
 
-    @pytest.mark.parametrize("noise_std", [0.1, 0.0])
-    @pytest.mark.parametrize("config", ["sphere", "styblinski_s1"])
-    def test_same_masks_every_step(self, config, noise_std, monkeypatch):
+    @staticmethod
+    def assert_rows_fresh(points, model, v_grid, rows):
+        for c, i in rows.slot.items():
+            fresh = kernel_matrix(model.kernel, points[[c]], points)[0] - v_grid[:, c] @ v_grid
+            np.testing.assert_allclose(rows.buffer[i], fresh, rtol=0, atol=1e-9)
+
+    def run_checked(self, config, noise_std, monkeypatch):
+        """Run 0 of msafeopt with every step checked; returns the number of
+        rows kept from the previous step at each step."""
         path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
         cfg = harness.load_config(path)
         cfg["problem"]["noise_std"] = noise_std
         plan = harness.make_plan(harness.normalize_config(cfg), ["msafeopt"], 1)
         fast = safegp._expanders_modified
-        masks = []
+        masks, carried = [], []
 
         def both(*args):
+            points, model, v_grid, rows = args[2], args[3], args[8], args[9]
+            self.assert_rows_fresh(points, model, v_grid, rows)
+            carried.append(len(rows.slot))
             got = fast(*args)
-            np.testing.assert_array_equal(got, reference_expanders_modified(*args))
+            self.assert_rows_fresh(points, model, v_grid, rows)
+            assert len(rows.slot) <= safegp._ROW_CAP
+            np.testing.assert_array_equal(got, reference_expanders_modified(*args[:9]))
             masks.append(got)
             return got
 
@@ -689,6 +720,49 @@ class TestReferenceExpanders:
         assert result.termination == "budget_exhausted"
         assert len(masks) == len(result.records) - plan.config["problem"]["n_seeds"]
         assert sum(int(m.sum()) for m in masks) > 0
+        return carried
+
+    @pytest.mark.parametrize("noise_std", [0.1, 0.0])
+    @pytest.mark.parametrize("config", ["sphere", "styblinski_s1"])
+    def test_same_masks_every_step(self, config, noise_std, monkeypatch):
+        carried = self.run_checked(config, noise_std, monkeypatch)
+        assert max(carried) > 0
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_candidates_past_the_cap(self, cap, monkeypatch):
+        # About 45 candidates per step are undecided after the first block
+        # on Styblinski-Tang s1, so all but ``cap`` take the blocks.
+        monkeypatch.setattr(safegp, "_ROW_CAP", cap)
+        assert max(self.run_checked("styblinski_s1", 0.1, monkeypatch)) == cap
+
+    def test_refactorization_drops_the_kept_rows(self, monkeypatch):
+        # As in test_reevaluated_noiseless_point_forces_a_refactorization:
+        # the first seed evaluated again without noise gives l = (s, 0, ...)
+        # and d^2 = s^2 - l.l = 0 exactly (s = 2), so the next step cannot
+        # extend the factor and refactors it with jitter.
+        problem = small_sphere_problem(noise=0.0)
+        oracle, seed_obs = primed(problem)
+        opt = SafeGpOptimizer("msafeopt", problem, seed_obs)
+        fast = safegp._expanders_modified
+        kept_on_entry = []
+
+        def spy(*args):
+            kept_on_entry.append(len(args[9].slot))
+            return fast(*args)
+
+        monkeypatch.setattr(safegp, "_expanders_modified", spy)
+        while not opt._cov_rows.slot:
+            opt.step(oracle)
+        evaluate = oracle.evaluate
+        oracle.evaluate = lambda point: evaluate(opt._x[0])
+        opt.step(oracle)
+        del oracle.evaluate
+        assert kept_on_entry[-1] > 0 and not opt.diagnostics[-1]["gp_refactored"]
+        opt.step(oracle)
+        assert opt.diagnostics[-1]["gp_refactored"] and opt.model.jitter > 0.0
+        assert kept_on_entry[-1] == 0
+        assert opt._cov_rows.slot  # refilled for the refactored model
+        self.assert_rows_fresh(problem.grid.points, opt.model, opt._v, opt._cov_rows)
 
 
 class TestSelectNext:
