@@ -11,6 +11,11 @@ runs only on the first fit and when the extension breaks down. Training
 sizes never exceed the evaluation budget (~100 points), so no
 approximations are needed, and a posterior query solves for all its
 points in one triangular solve.
+
+Squared distances are summed with numpy one axis at a time, in the order
+``scipy.spatial.distance.cdist(a, b, "sqeuclidean")`` sums them, so the
+kernel values are the same bits without importing ``scipy.spatial``;
+the GP stack needs only ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "KernelSpec",
@@ -29,12 +33,16 @@ __all__ = [
     "TargetTransform",
     "FactorizationError",
     "kernel_matrix",
+    "squared_distances",
     "gp_fit",
     "gp_posterior",
 ]
 
 # Diagonal jitter escalation ladder tried when the exact Cholesky fails.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+# Most entries of one row block of a kernel matrix: a block and its
+# scratch stay in cache through the distance and kernel passes.
+_CHUNK = 1 << 16
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -59,20 +67,52 @@ class KernelSpec:
             raise ValueError("signal_variance must be > 0")
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` (m, d) and of
+    ``b`` (n, d), as an (m, n) array written into ``out`` if given.
+
+    Summed one axis at a time, (a_k - b_k)^2 in axis order, which is how
+    ``cdist(a, b, "sqeuclidean")`` and ``np.sum(np.square(a_i - b), axis=1)``
+    sum them, so the values are the same bits. ``scratch``, of ``out``'s
+    shape, holds each further axis's term.
+    """
+    out = np.subtract(a[:, 0, None], b[:, 0], out=out)
+    np.square(out, out=out)
+    for k in range(1, a.shape[1]):
+        if scratch is None:
+            scratch = np.empty_like(out)
+        np.subtract(a[:, k, None], b[:, k], out=scratch)
+        np.square(scratch, out=scratch)
+        out += scratch
+    return out
+
+
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense kernel cross-matrix between two point sets."""
+    """Dense kernel cross-matrix between two point sets.
+
+    Built in row blocks of at most ``_CHUNK`` entries (at least one row),
+    each transformed in place from its squared distances. ``b`` is read
+    column-major, so each axis's differences read contiguous memory.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    sq = cdist(a, b, "sqeuclidean")
-    # In-place transform of the distance buffer: these matrices reach
-    # n_train x grid size, so avoid extra temporaries. A short lengthscale
-    # can scale a squared distance past the float range; -inf then gives the
-    # kernel value 0, which is the true value rounded.
+    b = np.atleast_2d(np.asarray(b, dtype=float, order="F"))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"points of dimension {a.shape[1]} and {b.shape[1]}")
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, _CHUNK // max(b.shape[0], 1))
+    scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    scale = -0.5 / spec.lengthscale**2
+    # A short lengthscale can scale a squared distance past the float
+    # range; -inf then gives the kernel value 0, which is the true value
+    # rounded.
     with np.errstate(over="ignore"):
-        sq *= -0.5 / spec.lengthscale**2
-    np.exp(sq, out=sq)
-    sq *= spec.signal_variance
-    return sq
+        for i in range(0, a.shape[0], rows):
+            block = out[i : i + rows]
+            squared_distances(a[i : i + rows], b, block, scratch[: block.shape[0]])
+            block *= scale
+            np.exp(block, out=block)
+            block *= spec.signal_variance
+    return out
 
 
 @dataclass
@@ -122,7 +162,7 @@ def _extended_fit(prev, kernel, noise_variance, points, targets):
         and np.array_equal(prev.train_targets, targets[:-1])
     ):
         return None
-    kx = kernel_matrix(kernel, prev.train_points, points[-1:])[:, 0]
+    kx = kernel_matrix(kernel, points[-1:], prev.train_points)[0]
     l = solve_triangular(prev.chol, kx, lower=True, check_finite=False)
     d2 = kernel.signal_variance + noise_variance - l @ l
     if not d2 > 0.0:

@@ -21,8 +21,10 @@ the first step and when the extension breaks down.
   safe-set update tests each certifying x_s against the grid nodes in
   the bounding box of its ball, found by binary search on the grid's
   sorted axes. The expanders need each safe point's distance to the
-  nearest outside point, which depends only on the safe set, so the
-  optimizer caches it until the safe set changes.
+  nearest outside point. On a rectilinear grid that point always has a
+  safe axis neighbour, so only the outer boundary of the safe set is
+  scanned. The distance depends only on the safe set, so the optimizer
+  caches it until the safe set changes.
 * ``msafeopt`` / ``msafe-ucb`` drop the Lipschitz constant and certify
   directly from the GP lower bound, l(x) >= h. Their safe set is unioned
   with the previous one so the initial seeds can never drop out when a
@@ -36,9 +38,11 @@ the first step and when the extension breaks down.
   then are the same from step to step, so the optimizer keeps their
   covariance rows over the grid: each step downdates them by the new
   V row r, cov(c, .) -= r_c * r, and a kept row decides its candidate
-  with one comparison over the live columns. At most ``_ROW_CAP`` rows
-  are kept; candidates past the cap are computed and compared in column
-  blocks, and a refactored GP drops every row.
+  with one comparison over the live columns. At most ``_ROW_CAP`` = 96
+  rows are kept, 96 * n_points floats (7.7 MB at 100x100), enough for
+  every undecided candidate of the paper's configs; candidates past the
+  cap are computed and compared in column blocks, and a refactored GP
+  drops every row.
 
 Selection: the "opt" variants pick the widest confidence interval among
 maximizers (safe points whose upper bound reaches the best safe lower
@@ -56,7 +60,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .gp import (
     ConfidenceBounds,
@@ -69,6 +72,7 @@ from .gp import (
     gp_posterior,  # noqa: F401
     kernel_matrix,
     posterior_detail,
+    squared_distances,
 )
 from .safeop import GP_VARIANTS as VARIANTS
 from .safeop import (
@@ -101,9 +105,12 @@ _VAR_FLOOR = 1e-12
 # the most covariance rows the optimizer keeps for candidates undecided by
 # them, and the most entries in one block of rows computed on the fly.
 # Together they bound the scan's memory: _ROW_CAP * n_points floats kept
-# across steps, and a few blocks of _BLOCK floats within one.
+# across steps (7.7 MB at 100x100), and a few blocks of _BLOCK floats
+# within one. The cap is above the most undecided candidates seen in any
+# step of the paper's configs (77), so rows are computed in blocks only
+# for larger boundaries.
 _FIRST_BLOCK = 128
-_ROW_CAP = 32
+_ROW_CAP = 96
 _BLOCK = 1 << 14
 _SQRT2 = math.sqrt(2.0)
 
@@ -208,17 +215,30 @@ def boundary_candidates(safe_mask: np.ndarray, shape: tuple[int, ...]) -> np.nda
     return np.flatnonzero((m & outer).reshape(-1))
 
 
-def _nearest_outside_distance(safe_mask: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _nearest_outside_distance(
+    safe_mask: np.ndarray, shape: tuple[int, ...], points: np.ndarray
+) -> np.ndarray:
     """Euclidean distance from each safe point, in index order, to the
-    nearest grid point outside the safe set (inf when there is none)."""
+    nearest grid point outside the safe set (inf when there is none).
+
+    ``points`` are the row-major nodes of a rectilinear grid of ``shape``.
+    Walking from an outside node o to a safe node s one axis step at a
+    time never moves away from s, in floating point too, so the last
+    outside node on the way, which has a safe axis neighbour, is at most
+    as far from s as o. Only this outer boundary of the safe set is
+    scanned, in row blocks of at most ``_BLOCK`` distances, and the
+    minimum is the one over all outside nodes, bit for bit.
+    """
     inside = np.flatnonzero(safe_mask)
-    outside = np.flatnonzero(~safe_mask)
-    if outside.size == 0:
+    rim = points[boundary_candidates(~safe_mask, shape)]
+    if rim.shape[0] == 0:
         return np.full(inside.size, np.inf)
-    _, nn = cKDTree(points[outside]).query(points[inside])
-    return np.sqrt(
-        np.sum(np.square(points[inside] - points[outside[nn]]), axis=1)
-    )
+    nearest = np.empty(inside.size)
+    rows = max(1, _BLOCK // rim.shape[0])
+    for i in range(0, inside.size, rows):
+        block = inside[i : i + rows]
+        nearest[i : i + rows] = squared_distances(points[block], rim).min(axis=1)
+    return np.sqrt(nearest)
 
 
 def _expanders_lipschitz(
@@ -297,8 +317,10 @@ class _CovarianceRows:
     across steps by one optimizer.
 
     ``slot`` maps each grid point that has a row to its row of
-    ``buffer``. The buffer is allocated on the first claim, and its pages
-    are touched only as slots fill, lowest first.
+    ``buffer``, which holds at most ``_ROW_CAP`` * n_points floats (7.7 MB
+    at 100x100). The buffer and the downdate's scratch row are allocated
+    on the first claim, and the buffer's pages are touched only as slots
+    fill, lowest first.
     """
 
     def __init__(self, n_points: int) -> None:
@@ -306,12 +328,14 @@ class _CovarianceRows:
         self.cap = _ROW_CAP
         self.slot: dict[int, int] = {}
         self.buffer: Optional[np.ndarray] = None
+        self.scratch: Optional[np.ndarray] = None
 
     def downdate(self, r: np.ndarray) -> None:
         """Condition every row on one more training point whose V row, in
         grid order, is ``r``."""
         for c, i in self.slot.items():
-            self.buffer[i] -= r[c] * r
+            np.multiply(r, r[c], out=self.scratch)
+            self.buffer[i] -= self.scratch
 
     def clear(self) -> None:
         self.slot.clear()
@@ -330,6 +354,7 @@ class _CovarianceRows:
         free = free[: len(new)]
         if new and self.buffer is None:
             self.buffer = np.empty((self.cap, self.n_points))
+            self.scratch = np.empty(self.n_points)
         self.slot.update(zip(new, free))
         return free, new
 
@@ -370,8 +395,9 @@ def _expanders_modified(
     * the optimizer downdates every kept row with each new V row, and
       drops them all when the GP is refactored;
     * here, the rows of points no longer undecided are dropped, and each
-      new undecided point gets a row while fewer than ``_ROW_CAP`` are
-      kept;
+      new undecided point gets a row while fewer than ``_ROW_CAP`` = 96
+      are kept (96 * n_points floats, 7.7 MB at 100x100), which holds
+      every undecided candidate of the paper's configs;
     * a kept row decides its candidate with one comparison over the span
       of live columns.
 
@@ -663,7 +689,9 @@ class SafeGpOptimizer:
         """``_nearest_outside_distance`` of ``safe_mask`` over the grid,
         recomputed only when the mask differs from the cached one's."""
         if not np.array_equal(safe_mask, self._outside_dist_mask):
-            self._outside_dist = _nearest_outside_distance(safe_mask, self.grid.points)
+            self._outside_dist = _nearest_outside_distance(
+                safe_mask, self.grid.shape, self.grid.points
+            )
             self._outside_dist_mask = safe_mask.copy()
         return self._outside_dist
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from safeobench import gp
 from safeobench.gp import (
     ConfidenceBounds,
     FactorizationError,
@@ -10,6 +12,7 @@ from safeobench.gp import (
     gp_posterior,
     kernel_matrix,
     posterior_detail,
+    squared_distances,
 )
 from safeobench.harness import ConfigError, normalize_config
 
@@ -87,6 +90,79 @@ class TestFit:
             KernelSpec(lengthscale=0.0)
         with pytest.raises(ValueError):
             KernelSpec(signal_variance=-1.0)
+
+
+def cdist_kernel(spec, a, b):
+    """The kernel through ``scipy.spatial``'s squared distances."""
+    with np.errstate(over="ignore"):
+        return spec.signal_variance * np.exp(
+            -0.5 / spec.lengthscale**2 * cdist(a, b, "sqeuclidean")
+        )
+
+
+def point_sets(rng, d):
+    """(name, a, b) pairs in d dimensions: grid nodes, scattered points
+    over several scales, and sets with repeated points."""
+    axes = [np.sort(rng.uniform(-5, 5, size=int(rng.integers(2, 7)))) for _ in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    scattered = rng.normal(size=(57, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+    repeated = np.repeat(rng.uniform(-2, 2, size=(9, d)), 3, axis=0)
+    return [
+        ("grid", grid, grid),
+        ("grid-scattered", grid[::2], scattered),
+        ("scattered", scattered, scattered[:20]),
+        ("repeated", repeated, np.concatenate([repeated[:5], scattered[:4]])),
+    ]
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_squared_distances_match_cdist_and_the_row_sum(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _, a, b in point_sets(rng, d):
+            got = squared_distances(a, b)
+            assert got.tobytes() == cdist(a, b, "sqeuclidean").tobytes()
+            rows = np.array([np.sum(np.square(p - b), axis=1) for p in a])
+            assert got.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lengthscale", [0.05, 0.8, 3.0])
+    def test_matches_the_cdist_kernel_bit_for_bit(self, d, lengthscale):
+        rng = np.random.default_rng(10 * d + int(10 * lengthscale))
+        spec = KernelSpec(lengthscale=lengthscale, signal_variance=2.5)
+        for name, a, b in point_sets(rng, d):
+            got = kernel_matrix(spec, a, b)
+            assert got.tobytes() == cdist_kernel(spec, a, b).tobytes(), name
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # More entries than one row block holds, then blocks of one row.
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(300, 2)), rng.normal(size=(400, 2))
+        spec = KernelSpec(lengthscale=0.6)
+        want = cdist_kernel(spec, a, b)
+        assert a.shape[0] * b.shape[0] > gp._CHUNK
+        for chunk in (gp._CHUNK, 1):
+            monkeypatch.setattr(gp, "_CHUNK", chunk)
+            assert kernel_matrix(spec, a, b).tobytes() == want.tobytes()
+
+    def test_overflow_to_minus_inf_gives_zero(self):
+        # -0.5 / l^2 = -5e307: any squared distance past 3.6 scales past the
+        # float range to -inf, whose exp is 0; repeated points keep s^2.
+        spec = KernelSpec(lengthscale=1e-154, signal_variance=3.0)
+        rng = np.random.default_rng(3)
+        a = np.repeat(rng.uniform(-10, 10, size=(6, 2)), 2, axis=0)
+        with np.errstate(over="ignore"):
+            assert np.isneginf(-0.5 / spec.lengthscale**2 * cdist(a, a, "sqeuclidean")).any()
+        with np.errstate(over="raise"):
+            got = kernel_matrix(spec, a, a)
+        assert got.tobytes() == cdist_kernel(spec, a, a).tobytes()
+        assert set(np.unique(got)) == {0.0, 3.0}
+        assert np.array_equal(got == 3.0, cdist(a, a, "sqeuclidean") == 0.0)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            kernel_matrix(KernelSpec(), np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 class TestIncrementalFit:

@@ -303,6 +303,24 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
         for p in sorted((tmp_path / "jobs1").glob("*.csv")):
             assert p.read_bytes() == (tmp_path / "jobs2" / p.name).read_bytes()
 
+    def test_gp_benchmark_never_imports_scipy_spatial(self, tmp_path):
+        # The GP stack computes its distances with numpy: scipy.linalg is
+        # the one scipy package a GP run loads.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST_CFG))
+        code = f"""
+import json, sys
+from safeobench import cli
+assert cli.main(["benchmark", {str(cfg)!r}, "--algos", "safeopt,msafeopt",
+                 "--runs", "2", "--jobs", "1", "--out", {str(tmp_path / "out")!r}]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "scipy.linalg" in loaded
+        assert [m for m in loaded if m.startswith("scipy.spatial")] == []
+
     def test_gp_plan_imports_the_gp_stack_before_forking(self):
         code = f"""
 import sys

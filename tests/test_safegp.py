@@ -50,6 +50,19 @@ def brute_force_lipschitz_update(prev_mask, lower, lipschitz, points, threshold)
     return out
 
 
+def brute_force_nearest_outside(safe_mask, points):
+    """Distance from each safe point to every outside point, then the least."""
+    outside = points[~safe_mask]
+    if outside.shape[0] == 0:
+        return np.full(int(safe_mask.sum()), np.inf)
+    return np.array(
+        [
+            np.sqrt(np.sum(np.square(points[c] - outside), axis=1)).min()
+            for c in np.flatnonzero(safe_mask)
+        ]
+    )
+
+
 def brute_force_lipschitz_expanders(safe_mask, upper, lipschitz, points, threshold):
     """any(u(c) - L * |c - o| >= h for o outside), one safe point c at a time."""
     out = np.zeros(len(safe_mask), dtype=bool)
@@ -172,8 +185,8 @@ def fake_bounds(lower, upper=None):
     return ConfidenceBounds(lower=lower, upper=np.asarray(upper, dtype=float))
 
 
-def lipschitz_expanders(safe_mask, bounds, lipschitz, points, threshold):
-    dist = _nearest_outside_distance(safe_mask, points)
+def lipschitz_expanders(safe_mask, bounds, lipschitz, shape, points, threshold):
+    dist = _nearest_outside_distance(safe_mask, shape, points)
     return _expanders_lipschitz(safe_mask, bounds, lipschitz, dist, threshold)
 
 
@@ -352,7 +365,7 @@ class TestMaximizers:
 class TestLipschitzExpanders:
     def test_full_grid_safe_has_no_expanders(self):
         pts = np.arange(3.0).reshape(-1, 1)
-        g = lipschitz_expanders(np.ones(3, bool), fake_bounds([1.0] * 3), 1.0, pts, 0.0)
+        g = lipschitz_expanders(np.ones(3, bool), fake_bounds([1.0] * 3), 1.0, (3,), pts, 0.0)
         assert not g.any()
 
     def test_zero_lipschitz(self):
@@ -361,7 +374,7 @@ class TestLipschitzExpanders:
         bounds = fake_bounds([np.nan] * 3, [1.0, -5.0, np.nan])
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="lipschitz"):
-                lipschitz_expanders(safe, bounds, bad, pts, 0.0)
+                lipschitz_expanders(safe, bounds, bad, (3,), pts, 0.0)
 
     def test_1d_worked_example(self):
         # S = {1}, u(1) = 4, h = 3: with L = 2, 4 - 2*1 = 2 < 3 (no);
@@ -369,16 +382,16 @@ class TestLipschitzExpanders:
         pts = np.arange(3.0).reshape(-1, 1)
         safe = np.array([False, True, False])
         bounds = fake_bounds([np.nan] * 3, [np.nan, 4.0, np.nan])
-        assert not lipschitz_expanders(safe, bounds, 2.0, pts, 3.0)[1]
-        assert lipschitz_expanders(safe, bounds, 0.5, pts, 3.0)[1]
+        assert not lipschitz_expanders(safe, bounds, 2.0, (3,), pts, 3.0)[1]
+        assert lipschitz_expanders(safe, bounds, 0.5, (3,), pts, 3.0)[1]
 
     def test_subset_of_safe(self):
         rng = np.random.default_rng(5)
-        pts = rng.uniform(-2, 2, size=(60, 2))
+        grid = grid_of(np.sort(rng.uniform(-2, 2, 6)), np.sort(rng.uniform(-2, 2, 10)))
         safe = rng.random(60) < 0.4
         safe[0] = True
         bounds = fake_bounds(np.zeros(60), rng.normal(1, 1, 60))
-        g = lipschitz_expanders(safe, bounds, 1.0, pts, 0.5)
+        g = lipschitz_expanders(safe, bounds, 1.0, grid.shape, grid.points, 0.5)
         assert np.all(safe[g])
 
     def test_matches_brute_force_on_random_instances(self):
@@ -395,7 +408,7 @@ class TestLipschitzExpanders:
                 safe = rng.random(n) < rng.uniform(0.05, 0.95)
                 safe[rng.integers(n)] = True
             bounds = fake_bounds(np.zeros(n), upper)
-            got = lipschitz_expanders(safe, bounds, L, pts, h)
+            got = lipschitz_expanders(safe, bounds, L, grid.shape, pts, h)
             want = brute_force_lipschitz_expanders(safe, upper, L, pts, h)
             np.testing.assert_array_equal(got, want)
             n_expanders += int(got.sum())
@@ -414,20 +427,106 @@ class TestLipschitzExpanders:
         mesh = np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij")
         square = np.stack([m.ravel() for m in mesh], axis=1)
         cases = (
-            (line, np.arange(7) == 3, np.ones(7)),
+            ((7,), line, np.arange(7) == 3, np.ones(7)),
             (
+                (5, 5),
                 square,
                 (np.abs(square - 2.0) <= 1.0).all(axis=1),
                 np.where((square == 2.0).all(axis=1), 2.0, 1.0),
             ),
         )
-        for pts, safe, dist in cases:
+        for shape, pts, safe, dist in cases:
             upper = np.where(safe, h + L * dist + margin, np.nan)
             bounds = fake_bounds(np.zeros(len(pts)), upper)
-            got = lipschitz_expanders(safe, bounds, L, pts, h)
+            got = lipschitz_expanders(safe, bounds, L, shape, pts, h)
             want = brute_force_lipschitz_expanders(safe, upper, L, pts, h)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(got, safe if expands else np.zeros_like(safe))
+
+
+def random_rectilinear_grid(rng, dim, uniform):
+    """A grid of 2 to 14 nodes per axis: evenly spaced, or sorted uniform
+    draws over scales from 1e-2 to 1e2 per axis."""
+    axes = []
+    for _ in range(dim):
+        n = int(rng.integers(2, 15 if dim < 3 else 9))
+        if uniform:
+            lo = rng.uniform(-5, 0)
+            axes.append(np.linspace(lo, lo + rng.uniform(0.5, 10), n))
+        else:
+            axes.append(np.sort(rng.uniform(-1, 1, size=n)) * 10.0 ** rng.uniform(-2, 2))
+    return grid_of(*axes)
+
+
+class TestNearestOutsideDistance:
+    """``_nearest_outside_distance`` scans only the outer boundary of the
+    safe set; it must equal the least distance over every outside node,
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches_brute_force(safe, grid):
+        got = _nearest_outside_distance(safe, grid.shape, grid.points)
+        want = brute_force_nearest_outside(safe, grid.points)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @staticmethod
+    def masks(rng, grid):
+        """Random, ball-shaped and edge-touching safe sets, the whole grid
+        and the whole grid but one node."""
+        pts, n = grid.points, grid.n_points
+        centre = pts[rng.integers(n)]
+        radius = rng.uniform(0.1, 0.7) * np.ptp(pts, axis=0).max()
+        edge = pts[:, 0] <= np.median(grid.axes[0])
+        one_out = np.ones(n, dtype=bool)
+        one_out[rng.integers(n)] = False
+        return [
+            rng.random(n) < rng.uniform(0.05, 0.95),
+            np.linalg.norm(pts - centre, axis=1) <= radius,
+            edge,
+            edge & (np.abs(pts[:, -1] - centre[-1]) <= radius),
+            np.ones(n, dtype=bool),
+            one_out,
+        ]
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_brute_force_on_random_grids(self, dim, uniform):
+        rng = np.random.default_rng(60 + 10 * dim + uniform)
+        n_finite = 0
+        for _ in range(12):
+            grid = random_rectilinear_grid(rng, dim, uniform)
+            for safe in self.masks(rng, grid):
+                got = self.assert_matches_brute_force(safe, grid)
+                n_finite += int(np.isfinite(got).sum())
+        assert n_finite > 0
+
+    def test_all_safe_and_one_outside_node(self):
+        grid = grid_of(np.arange(4.0), [0.0, 0.5, 4.0])
+        safe = np.ones(12, dtype=bool)
+        assert np.all(self.assert_matches_brute_force(safe, grid) == np.inf)
+        safe[4] = False  # node (1, 0.5)
+        got = self.assert_matches_brute_force(safe, grid)
+        inside = np.flatnonzero(safe)
+        assert got[inside == 3][0] == 0.5  # node (1, 0)
+        assert got[inside == 1][0] == 1.0  # node (0, 0.5)
+
+    def test_the_nearest_node_is_off_axis(self):
+        # On a 2 x 3 grid spaced 1 and 10 apart, node (0, 0) has safe axis
+        # neighbours; its nearest outside node (1, 10) is diagonal, nearer
+        # than the outside node (0, 20) on its own axis.
+        grid = grid_of([0.0, 1.0], np.arange(3) * 10.0)
+        safe = np.array([True, True, False, True, False, True])
+        got = self.assert_matches_brute_force(safe, grid)
+        assert got[0] == np.sqrt(101.0)
+
+    def test_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(safegp, "_BLOCK", 3)
+        rng = np.random.default_rng(8)
+        for dim in (1, 2, 3):
+            grid = random_rectilinear_grid(rng, dim, uniform=False)
+            for safe in self.masks(rng, grid):
+                self.assert_matches_brute_force(safe, grid)
 
 
 class TestBoundaryCandidates:
@@ -735,6 +834,24 @@ class TestReferenceExpanders:
         monkeypatch.setattr(safegp, "_ROW_CAP", cap)
         assert max(self.run_checked("styblinski_s1", 0.1, monkeypatch)) == cap
 
+    def test_every_undecided_candidate_keeps_a_row(self, monkeypatch):
+        # Most steps of this run have more than 32 candidates undecided
+        # after the first block; at _ROW_CAP every one of them gets a row,
+        # so no step computes rows in blocks.
+        claims = []
+        claim = safegp._CovarianceRows.claim
+
+        def spy(rows, idx):
+            missing = sum(c not in rows.slot for c in idx.tolist())
+            free, new = claim(rows, idx)
+            claims.append((idx.size, missing, len(new)))
+            return free, new
+
+        monkeypatch.setattr(safegp._CovarianceRows, "claim", spy)
+        self.run_checked("styblinski_s1", 0.1, monkeypatch)
+        assert [m for _, m, granted in claims if m != granted] == []
+        assert 2 * sum(size > 32 for size, _, _ in claims) > len(claims)
+
     def test_refactorization_drops_the_kept_rows(self, monkeypatch):
         # As in test_reevaluated_noiseless_point_forces_a_refactorization:
         # the first seed evaluated again without noise gives l = (s, 0, ...)
@@ -958,14 +1075,14 @@ class TestLipschitzExpanderCache:
     def test_cached_distances_match_brute_force(
         self, objective, percentile, scenario, grows, monkeypatch
     ):
-        built = []
-        tree_cls = safegp.cKDTree
+        computed = []
+        nearest = safegp._nearest_outside_distance
 
-        def counting_tree(data, *args, **kwargs):
-            built.append(len(data))
-            return tree_cls(data, *args, **kwargs)
+        def counting(safe_mask, *args):
+            computed.append(safe_mask.copy())
+            return nearest(safe_mask, *args)
 
-        monkeypatch.setattr(safegp, "cKDTree", counting_tree)
+        monkeypatch.setattr(safegp, "_nearest_outside_distance", counting)
         problem = SafeOpProblem(
             make_objective(objective),
             nodes_per_axis=30,
@@ -984,6 +1101,9 @@ class TestLipschitzExpanderCache:
                 opt.safe_mask, opt._bounds.upper, opt.lipschitz, pts, opt.threshold_z
             )
             np.testing.assert_array_equal(opt.g_mask, want)
+            np.testing.assert_array_equal(computed[-1], opt.safe_mask)
+            dist = brute_force_nearest_outside(opt.safe_mask, pts)
+            assert opt.outside_distance(opt.safe_mask).tobytes() == dist.tobytes()
             masks.append(opt.safe_mask.copy())
         changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
         if grows:
@@ -991,8 +1111,8 @@ class TestLipschitzExpanderCache:
             assert any(d["n_expanders"] for d in opt.diagnostics)
         else:
             assert changes == 1
-        # One tree over the outside points per distinct safe mask.
-        assert len(built) == changes
+        # One distance computation per distinct safe mask.
+        assert len(computed) == changes
 
 
 class TestVBufferSize:
