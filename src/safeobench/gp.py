@@ -7,7 +7,12 @@ V = L^-1 k(X, Q). Hyperparameters never change, so a model that grows
 by one training point extends the previous Cholesky factor and z
 together by one row (O(n^2)) instead of refactoring; a full
 factorization with the jitter ladder, then one triangular solve for z,
-runs only on the first fit and when the extension breaks down. Training
+runs only on the first fit and when the extension breaks down. The new
+factor row is one LAPACK ``trtrs`` call, looked up once at import,
+without ``solve_triangular``'s validation and batching wrapper. A
+model keeps the training arrays it was given; the optimizers pass views
+of buffers they grow in place, whose rows a model covers are never
+rewritten. Training
 sizes never exceed the evaluation budget (~100 points), so no
 approximations are needed, and a posterior query solves for all its
 points in one triangular solve.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 __all__ = [
     "KernelSpec",
@@ -43,6 +48,8 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # Most entries of one row block of a kernel matrix: a block and its
 # scratch stay in cache through the distance and kernel passes.
 _CHUNK = 1 << 16
+# The triangular solve x = A^-1 b (or A^-T b) for float64.
+_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -150,6 +157,13 @@ def _extended_fit(prev, kernel, noise_variance, points, targets):
     and z gains z_n = (y_n - l.z) / d. Returns None when ``prev`` does
     not apply or d^2 <= 0, where the grown matrix is not numerically
     positive definite.
+
+    l comes from one ``trtrs`` call with the arguments that
+    ``solve_triangular(L, kx, lower=True)`` passes for a C-ordered L:
+    the transposed, upper, Fortran-ordered view of L with trans=1, so
+    the same routine on the same operands gives the same bits. ``points``
+    and ``targets`` may be views of buffers that grow in place: ``prev``
+    keeps views of their first n rows, which are compared, not copied.
     """
     n = targets.size - 1
     if not (
@@ -163,7 +177,9 @@ def _extended_fit(prev, kernel, noise_variance, points, targets):
     ):
         return None
     kx = kernel_matrix(kernel, points[-1:], prev.train_points)[0]
-    l = solve_triangular(prev.chol, kx, lower=True, check_finite=False)
+    l, info = _TRTRS(prev.chol.T, kx, lower=0, trans=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
     d2 = kernel.signal_variance + noise_variance - l @ l
     if not d2 > 0.0:
         return None

@@ -13,18 +13,21 @@ The Lipschitz-free variants track the whole grid; the Lipschitz ones,
 which read bounds only at safe points, track each point from when it
 first turns safe. z is the model's only weight vector. A full
 factorization, and a full solve at the tracked points, happen only on
-the first step and when the extension breaks down.
+the first step and when the extension breaks down. The training points
+and standardized targets live in buffers allocated with V's, one row
+written per step; each fit gets views of their filled rows.
 
 * ``safeopt`` / ``safe-ucb`` certify safety with a Lipschitz bound
   around previously-safe points: x is safe iff some safe x_s satisfies
   l(x_s) - L * d(x_s, x) >= h. They differ only in selection. The
   safe-set update tests each certifying x_s against the grid nodes in
   the bounding box of its ball, found by binary search on the grid's
-  sorted axes. The expanders need each safe point's distance to the
-  nearest outside point. On a rectilinear grid that point always has a
-  safe axis neighbour, so only the outer boundary of the safe set is
-  scanned. The distance depends only on the safe set, so the optimizer
-  caches it until the safe set changes.
+  sorted axes; a box that holds only x_s itself is skipped. The
+  expanders need each safe point's distance to the nearest outside
+  point. On a rectilinear grid that point always has a safe axis
+  neighbour, so only the outer boundary of the safe set is scanned. The
+  distance depends only on the safe set, so the optimizer caches it
+  until the safe set changes.
 * ``msafeopt`` / ``msafe-ucb`` drop the Lipschitz constant and certify
   directly from the GP lower bound, l(x) >= h. Their safe set is unioned
   with the previous one so the initial seeds can never drop out when a
@@ -134,7 +137,10 @@ def update_safe_set_lipschitz(
     nodes inside the bounding box of that ball, the radius padded well
     beyond float rounding. One binary search per box edge over the grid's
     sorted axes gives the box's index range on each axis, and the exact
-    inequality is then evaluated on the box's nodes only.
+    inequality is then evaluated on the box's nodes only. A box of one
+    node holds only its centre, the certifier itself, which is marked
+    already, so such boxes are dropped before the scan, which does not
+    depend on the order of the boxes for its result.
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be > 0")
@@ -146,11 +152,6 @@ def update_safe_set_lipschitz(
     keep = l_prev >= threshold
     certifiers = prev_idx[keep]
     l_cert = l_prev[keep]
-    # Largest certified margin first: its ball marks the most points and
-    # already-marked points are skipped below.
-    order = np.argsort(-l_cert)
-    certifiers = certifiers[order]
-    l_cert = l_cert[order]
     mask = np.zeros(n, dtype=bool)
     mask[certifiers] = True  # distance zero always passes
 
@@ -170,6 +171,13 @@ def update_safe_set_lipschitz(
         # float stay inside.
         lo[k] = np.searchsorted(axis, centres[:, k] - r_query, side="left")
         hi[k] = np.searchsorted(axis, centres[:, k] + r_query, side="right")
+    wide = np.flatnonzero(np.prod(hi - lo, axis=0) > 1)
+    if wide.size == 0:
+        return mask
+    # Largest certified margin first: its ball marks the most points and
+    # already-marked points are skipped below.
+    wide = wide[np.argsort(-l_cert[wide])]
+    centres, l_cert, lo, hi = centres[wide], l_cert[wide], lo[:, wide], hi[:, wide]
     index = np.arange(n).reshape(grid.shape)  # row-major, as ``points``
     for ci, (first, end) in enumerate(zip(lo.T.tolist(), hi.T.tolist())):
         box = index[tuple(map(slice, first, end))].reshape(-1)
@@ -560,8 +568,13 @@ class SafeGpOptimizer:
         self.threshold_z = float(self.transform.forward(problem.threshold))
         self.noise_var_z = (problem.noise_std / self.transform.scale) ** 2
 
-        self._x: list[tuple[float, ...]] = [o.point for o in seed_observations]
-        self._y: list[float] = list(ys)
+        # The training points and standardized targets: the seeds' here,
+        # then buffers with V's row count from the first ``step`` on, each
+        # step writing one row of each. A model holds views of the first
+        # _n_train rows, which no later step rewrites.
+        self._points = np.array([o.point for o in seed_observations], dtype=float)
+        self._targets = self.transform.forward(ys)
+        self._n_train = len(ys)
         self.safe_mask = np.zeros(self.grid.n_points, dtype=bool)
         for o in seed_observations:
             self.safe_mask[self.grid.index_of(o.point)] = True
@@ -608,11 +621,12 @@ class SafeGpOptimizer:
         self.diagnostics: list[dict] = []
 
     def _refit(self) -> GpModel:
+        n = self._n_train
         self.model = gp_fit(
             self.kernel,
             self.noise_var_z,
-            np.asarray(self._x, dtype=float),
-            self.transform.forward(self._y),
+            self._points[:n],
+            self._targets[:n],
             prev=self.model,
         )
         return self.model
@@ -698,8 +712,13 @@ class SafeGpOptimizer:
     def step(self, oracle: Oracle) -> Observation:
         """Run one iteration: refit, update sets, select, evaluate."""
         if self._v_buffer is None:
-            rows = len(self._x) + oracle.budget - len(oracle.log)
+            rows = self._n_train + oracle.budget - len(oracle.log)
             self._v_buffer = np.empty((rows, self.grid.n_points), order="F")
+            pad = rows - self._n_train
+            self._points = np.concatenate(
+                [self._points, np.empty((pad, self.grid.dimension))]
+            )
+            self._targets = np.concatenate([self._targets, np.empty(pad)])
         self._refit()
         self._update()
         if self.variant in _WIDTH_VARIANTS:
@@ -709,8 +728,9 @@ class SafeGpOptimizer:
             self.variant, self.safe_mask, self._bounds, self.m_mask, self.g_mask
         )
         obs = oracle.evaluate(self.grid.points[idx])
-        self._x.append(obs.point)
-        self._y.append(obs.y)
+        self._points[self._n_train] = obs.point
+        self._targets[self._n_train] = self.transform.forward(obs.y)
+        self._n_train += 1
         self.diagnostics.append(
             {
                 "step": obs.step_index,

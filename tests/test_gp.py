@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from safeobench import gp
@@ -187,6 +188,25 @@ class TestIncrementalFit:
             omean, ostd = dense_oracle(kernel, noise, X[:n], y[:n], Q)
             for got, want in ((mean, fmean), (std, fstd), (mean, omean), (std, ostd)):
                 np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_new_factor_row_has_the_bits_of_solve_triangular(self):
+        # The extension solves for its factor row with LAPACK's trtrs
+        # directly; l must be solve_triangular's, bit for bit, from a fresh
+        # factor (C-ordered, and both orders at n = 1) and from an extended
+        # one, for every size up to 120.
+        rng = np.random.default_rng(5)
+        kernel = KernelSpec(lengthscale=0.8, signal_variance=2.0)
+        X = rng.uniform(-6, 6, size=(121, 2))
+        y = rng.normal(size=121)
+        grown = gp_fit(kernel, 0.01, X[:1], y[:1])
+        for n in range(1, 121):
+            for prev in (grown, gp_fit(kernel, 0.01, X[:n], y[:n])):
+                model = gp_fit(kernel, 0.01, X[: n + 1], y[: n + 1], prev=prev)
+                assert model.extended
+                kx = kernel_matrix(kernel, X[n : n + 1], X[:n])[0]
+                want = solve_triangular(prev.chol, kx, lower=True, check_finite=False)
+                assert model.chol[n, :n].tobytes() == want.tobytes()
+            grown = model
 
     def test_duplicate_noiseless_point_falls_back_to_jitter(self):
         # k(x, x) = 4 and l = 4 / sqrt(4) = 2 exactly, so d^2 = 0

@@ -309,6 +309,70 @@ class TestLipschitzSafeSetUpdate:
             want = brute_force_lipschitz_update(prev, lower, L, grid.points, 0.0)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_radii_around_the_smallest_spacing(self, dim, uniform):
+        # With L = 1 and h = 0 the radius is l itself. Just below the
+        # smallest axis spacing a box reaches the nearest neighbours but
+        # the ball does not; at it, a box edge lands exactly on a
+        # neighbouring node, which stays inside; just above, the ball
+        # holds it. Far smaller radii give boxes of their centre only.
+        rng = np.random.default_rng(100 * dim + uniform)
+        for _ in range(10):
+            grid = random_rectilinear_grid(rng, dim, uniform)
+            n = grid.n_points
+            gaps = [np.diff(axis) for axis in grid.axes]
+            spacing = min(g.min() for g in gaps)
+            radii = [np.nextafter(spacing, 0.0), spacing, np.nextafter(spacing, np.inf),
+                     0.25 * spacing, -1.0]
+            prev = rng.random(n) < 0.3
+            lower = np.where(prev, rng.choice(radii, size=n), np.nan)
+            # One certifier at a node of the smallest gap, radius equal to
+            # that gap: its neighbour across the gap is certified.
+            k = next(k for k, g in enumerate(gaps) if g.min() == spacing)
+            node = [int(rng.integers(size)) for size in grid.shape]
+            node[k] = int(np.argmin(gaps[k]))
+            c = int(np.ravel_multi_index(node, grid.shape))
+            node[k] += 1
+            neighbour = int(np.ravel_multi_index(node, grid.shape))
+            prev[c], lower[c] = True, spacing
+            got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 0.0)
+            want = brute_force_lipschitz_update(prev, lower, 1.0, grid.points, 0.0)
+            np.testing.assert_array_equal(got, want)
+            assert got[neighbour]
+            # Only centre-only boxes: the certifiers themselves.
+            centred = np.where(prev, np.minimum(lower, 0.25 * spacing), np.nan)
+            got = update_safe_set_lipschitz(prev, fake_bounds(centred), 1.0, grid, 0.0)
+            np.testing.assert_array_equal(got, prev & (centred >= 0.0))
+
+    def test_styblinski_run_has_only_centre_only_boxes(self, monkeypatch):
+        # Pins the traffic of safeopt run 0 on the paper's Styblinski-Tang
+        # s1 config: every certifier's ball, padded well beyond the
+        # update's float slack, stays inside its centre's box of one node,
+        # so each safe set is exactly its certifiers.
+        path = Path(__file__).resolve().parents[1] / "configs" / "styblinski_s1.json"
+        plan = harness.make_plan(
+            harness.normalize_config(harness.load_config(path)), ["safeopt"], 1
+        )
+        update = safegp.update_safe_set_lipschitz
+        calls = []
+
+        def spy(prev_mask, bounds, lipschitz, grid, threshold):
+            got = update(prev_mask, bounds, lipschitz, grid, threshold)
+            certified = prev_mask & (bounds.lower >= threshold)
+            radius = (bounds.lower[certified] - threshold) / lipschitz
+            spacing = min(np.diff(axis).min() for axis in grid.axes)
+            assert np.all(radius * (1 + 1e-6) + 1e-6 < spacing)
+            np.testing.assert_array_equal(got, certified)
+            calls.append(int(certified.sum()))
+            return got
+
+        monkeypatch.setattr(safegp, "update_safe_set_lipschitz", spy)
+        result = harness.run(plan, "safeopt", 0)
+        assert result.termination == "budget_exhausted"
+        assert len(calls) == len(result.records) - plan.config["problem"]["n_seeds"]
+        assert sum(calls) > len(calls)  # boxes of several certifiers per call
+
 
 class TestGpSafeSetUpdate:
     def test_all_below_threshold_keeps_prev(self):
@@ -871,7 +935,7 @@ class TestReferenceExpanders:
         while not opt._cov_rows.slot:
             opt.step(oracle)
         evaluate = oracle.evaluate
-        oracle.evaluate = lambda point: evaluate(opt._x[0])
+        oracle.evaluate = lambda point: evaluate(opt._points[0])
         opt.step(oracle)
         del oracle.evaluate
         assert kept_on_entry[-1] > 0 and not opt.diagnostics[-1]["gp_refactored"]
@@ -1060,6 +1124,68 @@ class TestIncrementalGridPosterior:
         assert third["gp_refactored"]  # a jittered factor is never extended
         if opt.uses_lipschitz:
             assert not opt.safe_mask[j] and j in opt._track
+
+
+class TestTrainingBuffers:
+    """Each model sees the optimizer's training history, as a list of the
+    observations so far would give it, through views of buffers that grow
+    by one row per step."""
+
+    @staticmethod
+    def assert_history(model, transform, points, ys):
+        want_x = np.asarray(points, dtype=float)
+        want_y = transform.forward(ys)
+        assert model.train_points.shape == want_x.shape
+        assert model.train_points.tobytes() == want_x.tobytes()
+        assert model.train_targets.shape == want_y.shape
+        assert model.train_targets.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("variant", ["safeopt", "safe-ucb", "msafeopt", "msafe-ucb"])
+    def test_every_model_sees_the_history(self, variant):
+        problem = small_sphere_problem(budget=25, percentile=50.0)
+        oracle, seed_obs = primed(problem)
+        opt = SafeGpOptimizer(variant, problem, seed_obs)
+        points = [o.point for o in seed_obs]
+        ys = [o.y for o in seed_obs]
+        while oracle.running:
+            obs = opt.step(oracle)
+            self.assert_history(opt.model, opt.transform, points, ys)
+            assert opt.model.extended == (len(opt.diagnostics) > 1)
+            points.append(obs.point)
+            ys.append(obs.y)
+        assert len(points) == 25
+
+    @pytest.mark.parametrize("variant", ["msafe-ucb", "safe-ucb"])
+    def test_refactorization_sees_the_history(self, variant):
+        # The setup of test_reevaluated_noiseless_point_forces_a_refactorization:
+        # the re-evaluated noiseless seed breaks the extension down, and the
+        # full refits factorize the buffers' rows.
+        problem = small_sphere_problem(noise=0.0)
+        grid = problem.grid
+        i = int(np.flatnonzero(grid.values >= problem.threshold)[0])
+        j = grid.n_points - 1
+        seeds = [
+            Observation(point=tuple(grid.points[k]), y=problem.threshold + dy,
+                        f_true=grid.values[k], is_unsafe=dy < 0, step_index=s,
+                        bsf_true=grid.values[k])
+            for s, (k, dy) in enumerate([(i, 1e-3), (j, -50.0)], start=1)
+        ]
+        opt = SafeGpOptimizer(variant, problem, seeds)
+        oracle = Oracle(problem, np.random.default_rng(0))
+        points = [o.point for o in seeds]
+        ys = [o.y for o in seeds]
+        for _ in range(3):
+            obs = opt.step(oracle)
+            model = opt.model
+            self.assert_history(model, opt.transform, points, ys)
+            fresh = gp_fit(model.kernel, model.noise_variance, np.asarray(points),
+                           opt.transform.forward(ys))
+            assert model.chol.tobytes() == fresh.chol.tobytes()
+            assert model.z.tobytes() == fresh.z.tobytes()
+            points.append(obs.point)
+            ys.append(obs.y)
+        assert [d["gp_refactored"] for d in opt.diagnostics] == [True] * 3
+        assert points[2] == points[0]
 
 
 class TestLipschitzExpanderCache:
