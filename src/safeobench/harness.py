@@ -51,7 +51,6 @@ from .safeop import (
     Observation,
     Oracle,
     SafeOpProblem,
-    StalledAlgorithmError,
     sample_safe_seeds,
 )
 
@@ -75,7 +74,6 @@ log = logging.getLogger(__name__)
 EA_VARIANTS = ("va-ea", "unsafe-ea")
 ALGORITHMS = GP_VARIANTS + EA_VARIANTS
 
-TERMINATION_STALLED = "stalled"
 TERMINATION_FAILED = "failed"
 
 
@@ -449,7 +447,6 @@ def run(plan: BenchmarkPlan, algorithm: str, run_index: int) -> RunResult:
         budget=max_run_length(plan.config),
     )
     seed_obs = oracle.prime(plan.seed_sets[run_index])
-    termination = oracle.termination.value
     diagnostics: list[dict] = []
     if oracle.running:
         optimizer = _build_optimizer(
@@ -459,18 +456,14 @@ def run(plan: BenchmarkPlan, algorithm: str, run_index: int) -> RunResult:
             derive_rng(p["master_seed"], run_index, "optimizer"),
             plan.config,
         )
-        try:
-            while oracle.running:
-                optimizer.step(oracle)
-            termination = oracle.termination.value
-        except StalledAlgorithmError:
-            termination = TERMINATION_STALLED
+        while oracle.running:
+            optimizer.step(oracle)
         diagnostics = optimizer.diagnostics
     return RunResult(
         algorithm=algorithm,
         run_index=run_index,
         records=oracle.log,
-        termination=termination,
+        termination=oracle.termination.value,
         diagnostics=diagnostics,
         wall_time=time.perf_counter() - t0,
     )

@@ -10,8 +10,8 @@ Cholesky factor and one entry to the model's whitened targets z (see
 V = L^-1 k(X, tracked points), and updates the posterior mean and
 variance at the tracked points in O(n * tracked) instead of re-solving.
 The Lipschitz-free variants track the whole grid; the Lipschitz ones,
-which read bounds only at safe points, track each point from when it
-first turns safe. z is the model's only weight vector. A full
+which read bounds only at safe points, track their safe set, each point
+from the step it turns safe. z is the model's only weight vector. A full
 factorization, and a full solve at the tracked points, happen only on
 the first step and when the extension breaks down. The training points
 and standardized targets live in buffers allocated with V's, one row
@@ -29,11 +29,9 @@ written per step; each fit gets views of their filled rows.
   distance depends only on the safe set, so the optimizer caches it
   until the safe set changes.
 * ``msafeopt`` / ``msafe-ucb`` drop the Lipschitz constant and certify
-  directly from the GP lower bound, l(x) >= h. Their safe set is unioned
-  with the previous one so the initial seeds can never drop out when a
-  pessimistic refit dips the bounds. A boundary point c is an expander
-  when a fictitious noiseless observation u(c) at c would lift some
-  outside point u to l(u) >= h. In closed form that depends on u only
+  directly from the GP lower bound, l(x) >= h. A boundary point c is an
+  expander when a fictitious noiseless observation u(c) at c would lift
+  some outside point u to l(u) >= h. In closed form that depends on u only
   through one threshold per grid point, computed once per step, so each
   (c, u) pair costs one entry of the posterior covariance
   k(c, u) - v_c . v_u and one comparison. The outside points with the
@@ -46,6 +44,11 @@ written per step; each fit gets views of their filled rows.
   every undecided candidate of the paper's configs; candidates past the
   cap are computed and compared in column blocks, and a refactored GP
   drops every row.
+
+All four safe sets only grow (S_t contains S_{t-1}), as in SafeOpt:
+each update returns the previous set plus the points certified now, so
+a pessimistic refit that dips the bounds never drops a point, and no
+safe set is ever empty, since every run starts from at least one seed.
 
 Selection: the "opt" variants pick the widest confidence interval among
 maximizers (safe points whose upper bound reaches the best safe lower
@@ -84,12 +87,10 @@ from .safeop import (
     Observation,
     Oracle,
     SafeOpProblem,
-    StalledAlgorithmError,
 )
 
 __all__ = [
     "VARIANTS",
-    "StalledAlgorithmError",
     "SafeGpOptimizer",
     "update_safe_set_lipschitz",
     "update_safe_set_gp",
@@ -127,9 +128,10 @@ def update_safe_set_lipschitz(
 ) -> np.ndarray:
     """Safe-set update through the Lipschitz bound.
 
-    Marks x safe iff l(x_s) - lipschitz * d(x_s, x) >= threshold for at
-    least one x_s in the previous safe set (Euclidean d). Only the bound
-    entries at previous members are read.
+    Returns the previous safe set plus every x with
+    l(x_s) - lipschitz * d(x_s, x) >= threshold for at least one x_s in
+    the previous safe set (Euclidean d), so the set never shrinks. Only
+    the bound entries at previous members are read.
 
     Members with l < threshold can certify nothing and are skipped. Each
     remaining member can only certify points inside a ball of radius
@@ -137,10 +139,10 @@ def update_safe_set_lipschitz(
     nodes inside the bounding box of that ball, the radius padded well
     beyond float rounding. One binary search per box edge over the grid's
     sorted axes gives the box's index range on each axis, and the exact
-    inequality is then evaluated on the box's nodes only. A box of one
-    node holds only its centre, the certifier itself, which is marked
-    already, so such boxes are dropped before the scan, which does not
-    depend on the order of the boxes for its result.
+    inequality is then evaluated on the box's unmarked nodes only. A box
+    of one node holds only its centre, the certifier itself, which is
+    marked already, so such boxes are dropped before the scan, which does
+    not depend on the order of the boxes for its result.
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be > 0")
@@ -152,8 +154,7 @@ def update_safe_set_lipschitz(
     keep = l_prev >= threshold
     certifiers = prev_idx[keep]
     l_cert = l_prev[keep]
-    mask = np.zeros(n, dtype=bool)
-    mask[certifiers] = True  # distance zero always passes
+    mask = prev_mask.copy()
 
     radius = (l_cert - threshold) / lipschitz
     slack = 1e-9 * (1.0 + radius) + 1e-9 * (
@@ -515,7 +516,7 @@ def select_next(
     """
     safe_idx = np.flatnonzero(safe_mask)
     if safe_idx.size == 0:
-        raise StalledAlgorithmError("safe set is empty")
+        raise ValueError("safe set is empty")
     if variant not in _WIDTH_VARIANTS:
         return int(safe_idx[np.argmax(bounds.upper[safe_idx])]), False
     cand = np.flatnonzero(m_mask | g_mask)
@@ -581,15 +582,15 @@ class SafeGpOptimizer:
 
         # The Lipschitz variants' constant and the tracked grid points,
         # where the posterior is kept across steps in the order first
-        # tracked: every point ever marked safe for the Lipschitz variants,
-        # the whole grid (a slice, so the arrays are views) for the others.
-        # _mean, _var, _std and V's columns follow that order.
+        # tracked: the safe set, in the order its points turned safe, for
+        # the Lipschitz variants, the whole grid (a slice, so the arrays
+        # are views) for the others. _mean, _var, _std and V's columns
+        # follow that order.
         if self.uses_lipschitz:
             self.lipschitz = problem.lipschitz
             if not self.lipschitz > 0:
                 raise ValueError(f"{variant} requires a positive lipschitz constant")
             self._track = np.flatnonzero(self.safe_mask)
-            self._tracked = self.safe_mask.copy()
         else:
             self.lipschitz = 0.0
             self._track = slice(None)
@@ -643,7 +644,6 @@ class SafeGpOptimizer:
         self._v_buffer[:n, k : k + added.size] = v
         self._v = self._v_buffer[:n, : k + added.size]
         self._track = np.concatenate([self._track, added])
-        self._tracked[added] = True
         self._mean = np.concatenate([self._mean, mean])
         self._var = np.concatenate([self._var, np.square(std)])
         self._std = np.concatenate([self._std, std])
@@ -690,11 +690,7 @@ class SafeGpOptimizer:
             self.grid,
             self.threshold_z,
         )
-        if not new_mask.any():
-            raise StalledAlgorithmError(
-                "no previously-safe point can certify anything"
-            )
-        added = np.flatnonzero(new_mask & ~self._tracked)
+        added = np.flatnonzero(new_mask & ~self.safe_mask)
         if added.size:
             self._track_more(added)
         self.safe_mask = new_mask

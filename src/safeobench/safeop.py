@@ -33,7 +33,6 @@ __all__ = [
     "TerminationReason",
     "TerminatedRunError",
     "InfeasibleScenarioError",
-    "StalledAlgorithmError",
     "GP_VARIANTS",
     "LIPSCHITZ_VARIANTS",
     "discretize",
@@ -56,10 +55,6 @@ class TerminatedRunError(RuntimeError):
 
 class InfeasibleScenarioError(ValueError):
     """Raised when a seed-sampling region holds fewer points than requested."""
-
-
-class StalledAlgorithmError(RuntimeError):
-    """Safe set became empty; the algorithm cannot propose a point."""
 
 
 # The GP-based optimizers of ``safegp``, and those of them that certify

@@ -173,17 +173,6 @@ class TestRun:
         assert sum(r.is_unsafe for r in result.records) == 1
         assert result.first_failure_step() == result.records[-1].step_index
 
-    def test_stalled_algorithm_recorded_not_raised(self, fast_plan, monkeypatch):
-        from safeobench import safegp
-
-        def stall(self, oracle):
-            raise safegp.StalledAlgorithmError("empty safe set")
-
-        monkeypatch.setattr(safegp.SafeGpOptimizer, "step", stall)
-        result = run(fast_plan, "safeopt", 0)
-        assert result.termination == "stalled"
-        assert result.n_steps == 4  # the seed observations remain
-
     def test_summary_examples(self):
         rr = RunResult("x", 0, [record(i + 1) for i in range(5)], "budget_exhausted")
         assert (rr.n_unsafe, rr.first_failure_step()) == (0, None)

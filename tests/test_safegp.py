@@ -22,7 +22,6 @@ from safeobench.safeop import (
 )
 from safeobench.safegp import (
     SafeGpOptimizer,
-    StalledAlgorithmError,
     _expanders_lipschitz,
     _expanders_modified,
     _nearest_outside_distance,
@@ -38,12 +37,13 @@ from safeobench.safegp import (
 
 
 def brute_force_lipschitz_update(prev_mask, lower, lipschitz, points, threshold):
-    """Exhaustive scan over (previous member, grid point) pairs.
+    """The previous set plus an exhaustive scan over (previous member, grid
+    point) pairs.
 
     One distance row per previous member against every point, with the
     per-pair expression of the plain double loop.
     """
-    out = np.zeros(len(prev_mask), dtype=bool)
+    out = np.array(prev_mask, dtype=bool)
     for i in np.flatnonzero(prev_mask):
         d = np.sqrt(np.sum(np.square(points[i] - points), axis=1))
         out |= lower[i] - lipschitz * d >= threshold
@@ -202,6 +202,18 @@ class TestLipschitzSafeSetUpdate:
             want = brute_force_lipschitz_update(prev, lower, L, grid.points, h)
             np.testing.assert_array_equal(got, want)
 
+    def test_result_contains_prev_on_random_instances(self):
+        # whatever the bounds at the previous members, none of them drops
+        # out; in every other instance no member reaches the threshold
+        rng = np.random.default_rng(31)
+        for trial in range(50):
+            prev, lower, L, grid, h = random_lipschitz_instance(rng)
+            if trial % 2:
+                lower[prev] = h - rng.uniform(0.0, 5.0, size=int(prev.sum())) - 1e-9
+            got = update_safe_set_lipschitz(prev, fake_bounds(lower), L, grid, h)
+            assert got.dtype == bool and got.shape == prev.shape
+            assert np.all(got[prev])
+
     def test_1d_worked_example(self):
         # grid {0..4}, prev = {2}, l(2) = 5, h = 3, L = 1:
         # 5 - |2 - x| >= 3 iff |2 - x| <= 2, so the whole grid is safe
@@ -242,24 +254,22 @@ class TestLipschitzSafeSetUpdate:
             with pytest.raises(ValueError, match="lipschitz"):
                 update_safe_set_lipschitz(prev, fake_bounds(lower), bad, grid, 3.0)
 
-    def test_huge_lipschitz_keeps_only_certifiers(self):
+    def test_huge_lipschitz_adds_nothing(self):
         grid = grid_of(np.linspace(0, 1, 6))
         prev = np.array([True, True, False, False, False, True])
         lower = np.full(6, np.nan)
-        lower[[0, 1, 5]] = [4.0, 2.0, 3.5]  # member 1 is below h
+        lower[[0, 1, 5]] = [4.0, 2.0, 3.5]  # member 1 is below h, and stays
         got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1e9, grid, 3.0)
-        np.testing.assert_array_equal(
-            got, np.array([True, False, False, False, False, True])
-        )
+        np.testing.assert_array_equal(got, prev)
 
-    def test_no_certifier_empties_set(self):
+    def test_no_certifier_keeps_prev(self):
         grid = grid_of(np.arange(3.0))
         prev = np.array([True, True, False])
         lower = np.array([1.0, 2.0, np.nan])
         got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 3.0)
-        assert not got.any()
+        np.testing.assert_array_equal(got, prev)
 
-    def test_no_certifier_on_a_2d_grid_gives_an_all_false_mask(self):
+    def test_no_certifier_on_a_2d_grid_keeps_prev(self):
         # every member's lower bound is below h, one of them by a rounding
         # step: the box scan runs over no certifier at all
         grid = grid_of(np.linspace(0, 1, 4), np.linspace(-1, 1, 5))
@@ -269,7 +279,7 @@ class TestLipschitzSafeSetUpdate:
         lower[[0, 7, 19]] = [-2.0, np.nextafter(3.0, 0.0), 2.5]
         got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.5, grid, 3.0)
         assert got.dtype == bool and got.shape == (grid.n_points,)
-        assert not got.any()
+        np.testing.assert_array_equal(got, prev)
 
     def test_empty_prev_rejected(self):
         grid = grid_of(np.arange(3.0))
@@ -340,10 +350,10 @@ class TestLipschitzSafeSetUpdate:
             want = brute_force_lipschitz_update(prev, lower, 1.0, grid.points, 0.0)
             np.testing.assert_array_equal(got, want)
             assert got[neighbour]
-            # Only centre-only boxes: the certifiers themselves.
+            # Only centre-only boxes: they certify no point outside prev.
             centred = np.where(prev, np.minimum(lower, 0.25 * spacing), np.nan)
             got = update_safe_set_lipschitz(prev, fake_bounds(centred), 1.0, grid, 0.0)
-            np.testing.assert_array_equal(got, prev & (centred >= 0.0))
+            np.testing.assert_array_equal(got, prev)
 
     def test_styblinski_run_has_only_centre_only_boxes(self, monkeypatch):
         # Pins the traffic of safeopt run 0 on the paper's Styblinski-Tang
@@ -372,6 +382,21 @@ class TestLipschitzSafeSetUpdate:
         assert result.termination == "budget_exhausted"
         assert len(calls) == len(result.records) - plan.config["problem"]["n_seeds"]
         assert sum(calls) > len(calls)  # boxes of several certifiers per call
+
+    def test_sphere_run_safe_set_never_shrinks(self):
+        # safeopt run 15 on the paper's sphere-95 config: a rebuilt safe
+        # set, which keeps only the points certified now, lost 38 points
+        # in one step of it (504 -> 466)
+        path = Path(__file__).resolve().parents[1] / "configs" / "sphere.json"
+        plan = harness.make_plan(
+            harness.normalize_config(harness.load_config(path)), ["safeopt"], 16
+        )
+        result = harness.run(plan, "safeopt", 15)
+        assert result.termination == "budget_exhausted"
+        sizes = [d["safe_size"] for d in result.diagnostics]
+        assert len(sizes) == len(result.records) - plan.config["problem"]["n_seeds"]
+        assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] > sizes[0]
 
 
 class TestGpSafeSetUpdate:
@@ -981,7 +1006,7 @@ class TestSelectNext:
 
     def test_empty_safe_set_raises(self):
         none = np.zeros(3, bool)
-        with pytest.raises(StalledAlgorithmError):
+        with pytest.raises(ValueError, match="safe set is empty"):
             select_next("safeopt", none, fake_bounds([0.0] * 3), none, none)
 
 
@@ -1024,8 +1049,7 @@ class TestOptimizerIntegration:
             if first:
                 assert all(opt.safe_mask[i] for i in seed_idx)
                 first = False
-            if variant in ("msafeopt", "msafe-ucb"):
-                assert np.all(opt.safe_mask[prev_mask])  # monotone
+            assert np.all(opt.safe_mask[prev_mask])  # monotone
             prev_mask = opt.safe_mask.copy()
         assert len(oracle.log) == problem.eval_budget
         for obs in oracle.log:
@@ -1048,14 +1072,13 @@ class TestIncrementalGridPosterior:
     def test_matches_a_full_refit_after_every_step(self, variant):
         # The Lipschitz variants' safe set stays at the seeds at the 90th
         # percentile and grows at the 50th, where the posterior at added
-        # points is checked too. They track every point ever safe, in the
-        # order first tracked, and keep its V column in the next slot.
+        # points is checked too. They track their safe set, in the order
+        # its points turned safe, and keep each V column in the next slot.
         percentile = 50.0 if variant in ("safeopt", "safe-ucb") else 90.0
         problem = small_sphere_problem(budget=25, percentile=percentile)
         oracle, seed_obs = primed(problem)
         opt = SafeGpOptimizer(variant, problem, seed_obs)
         safe_grown = tracked_grown = False
-        ever_safe = opt.safe_mask.copy()
         while oracle.running:
             n_tracked = problem.grid.points[opt._track].shape[0]
             opt.step(oracle)
@@ -1064,7 +1087,6 @@ class TestIncrementalGridPosterior:
                            model.train_targets)
             safe = opt.safe_mask
             safe_grown |= safe.sum() > len(seed_obs)
-            ever_safe |= safe
             mean, std = gp_posterior(refit, problem.grid.points[safe])
             np.testing.assert_allclose(opt._bounds.lower[safe], mean - opt.beta * std,
                                        atol=1e-10)
@@ -1073,7 +1095,7 @@ class TestIncrementalGridPosterior:
             tracked = problem.grid.points[opt._track]
             tracked_grown |= tracked.shape[0] > n_tracked
             if opt.uses_lipschitz:
-                np.testing.assert_array_equal(np.sort(opt._track), np.flatnonzero(ever_safe))
+                np.testing.assert_array_equal(np.sort(opt._track), np.flatnonzero(safe))
             else:
                 assert tracked.shape[0] == problem.grid.n_points
             mean, std, v = posterior_detail(refit, tracked)
@@ -1095,8 +1117,8 @@ class TestIncrementalGridPosterior:
         # step, so the optimizer evaluates it again. The duplicate row has
         # d^2 = 4 - (4 / 2)^2 - 0^2 = 0 exactly (the far seed's entry of l
         # cancels), the extension breaks down and the jitter ladder takes
-        # over. safe-ucb still tracks the low seed after it left the safe
-        # set, so each full re-solve covers a point outside it.
+        # over. safe-ucb keeps the low seed safe, although it certifies
+        # nothing, and tracks exactly its safe set.
         problem = small_sphere_problem(noise=0.0)
         grid = problem.grid
         i = int(np.flatnonzero(grid.values >= problem.threshold)[0])
@@ -1123,7 +1145,8 @@ class TestIncrementalGridPosterior:
         assert second["gp_refactored"] and second["gp_jitter"] > 0.0
         assert third["gp_refactored"]  # a jittered factor is never extended
         if opt.uses_lipschitz:
-            assert not opt.safe_mask[j] and j in opt._track
+            assert opt.safe_mask[j]
+            np.testing.assert_array_equal(np.sort(opt._track), np.flatnonzero(opt.safe_mask))
 
 
 class TestTrainingBuffers:
@@ -1307,11 +1330,12 @@ class TestOptimizerConstruction:
             opt.step(oracle)
         assert oracle.unsafe_used == 0
 
-    def test_stalls_when_no_certifier(self):
+    def test_seeds_that_certify_nothing_stay_the_safe_set(self):
         problem = small_sphere_problem(noise=0.0)
         grid = problem.grid
-        # craft seed observations far below the threshold: no safe-set
-        # certifier survives the first refit
+        # craft seed observations far below the threshold: no seed
+        # certifies anything, at the first refit or later, since each
+        # query re-observes an unsafe seed
         idx = [0, 1]
         obs = [
             Observation(
@@ -1326,5 +1350,9 @@ class TestOptimizerConstruction:
         ]
         opt = SafeGpOptimizer("safeopt", problem, obs)
         oracle = Oracle(problem, np.random.default_rng(0))
-        with pytest.raises(StalledAlgorithmError):
+        while oracle.running:
             opt.step(oracle)
+            np.testing.assert_array_equal(np.flatnonzero(opt.safe_mask), idx)
+        assert oracle.termination.value == "budget_exhausted"
+        assert len(oracle.log) == problem.eval_budget
+        assert {grid.index_of(o.point) for o in oracle.log} <= set(idx)
