@@ -9,13 +9,13 @@ together by one row (O(n^2)) instead of refactoring; a full
 factorization with the jitter ladder, then one triangular solve for z,
 runs only on the first fit and when the extension breaks down. The new
 factor row is one LAPACK ``trtrs`` call, looked up once at import,
-without ``solve_triangular``'s validation and batching wrapper. A
-model keeps the training arrays it was given; the optimizers pass views
-of buffers they grow in place, whose rows a model covers are never
-rewritten. Training
-sizes never exceed the evaluation budget (~100 points), so no
-approximations are needed, and a posterior query solves for all its
-points in one triangular solve.
+without ``solve_triangular``'s validation and batching wrapper; a
+caller that already holds the new point's kernel row k(x, X) passes it
+in. A model keeps the training arrays it was given; the optimizers pass
+views of buffers they grow in place, whose rows a model covers are
+never rewritten. Training sizes never exceed the evaluation budget
+(~100 points), so no approximations are needed, and a posterior query
+solves for all its points in one triangular solve.
 
 Squared distances are summed with numpy one axis at a time, in the order
 ``scipy.spatial.distance.cdist(a, b, "sqeuclidean")`` sums them, so the
@@ -148,25 +148,16 @@ class GpModel:
         return self.train_points.shape[0]
 
 
-def _extended_fit(prev, kernel, noise_variance, points, targets):
-    """``prev``'s Cholesky factor and ``z`` grown by the last training point.
+def _extends(prev, kernel, noise_variance, points, targets) -> bool:
+    """Whether ``prev`` is a jitter-free fit of the same kernel and noise
+    on all but the last training point.
 
-    Applies when ``prev`` is a jitter-free fit of the same kernel and
-    noise on all but the last row. With l = L^-1 k(X, x) and
-    d^2 = k(x, x) + noise - l.l, the grown factor is [[L, 0], [l^T, d]]
-    and z gains z_n = (y_n - l.z) / d. Returns None when ``prev`` does
-    not apply or d^2 <= 0, where the grown matrix is not numerically
-    positive definite.
-
-    l comes from one ``trtrs`` call with the arguments that
-    ``solve_triangular(L, kx, lower=True)`` passes for a C-ordered L:
-    the transposed, upper, Fortran-ordered view of L with trans=1, so
-    the same routine on the same operands gives the same bits. ``points``
-    and ``targets`` may be views of buffers that grow in place: ``prev``
-    keeps views of their first n rows, which are compared, not copied.
+    ``points`` and ``targets`` may be views of buffers that grow in place:
+    ``prev`` keeps views of their first n rows, which are compared, not
+    copied.
     """
     n = targets.size - 1
-    if not (
+    return (
         prev is not None
         and prev.n_train == n
         and prev.jitter == 0.0
@@ -174,20 +165,35 @@ def _extended_fit(prev, kernel, noise_variance, points, targets):
         and prev.noise_variance == noise_variance
         and np.array_equal(prev.train_points, points[:-1])
         and np.array_equal(prev.train_targets, targets[:-1])
-    ):
-        return None
-    kx = kernel_matrix(kernel, points[-1:], prev.train_points)[0]
+    )
+
+
+def _extended_fit(prev, noise_variance, target, kx):
+    """``prev``'s Cholesky factor and ``z`` grown by one training point x
+    with the target ``target`` and the kernel row ``kx`` = k(x, X).
+
+    With l = L^-1 kx and d^2 = k(x, x) + noise - l.l, the grown factor is
+    [[L, 0], [l^T, d]] and z gains z_n = (y_n - l.z) / d. Returns None when
+    d^2 <= 0, where the grown matrix is not numerically positive definite.
+
+    l comes from one ``trtrs`` call with the arguments that
+    ``solve_triangular(L, kx, lower=True)`` passes for a C-ordered L:
+    the transposed, upper, Fortran-ordered view of L with trans=1, so
+    the same routine on the same operands gives the same bits. ``kx`` is
+    overwritten.
+    """
+    n = prev.n_train
     l, info = _TRTRS(prev.chol.T, kx, lower=0, trans=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
-    d2 = kernel.signal_variance + noise_variance - l @ l
+    d2 = prev.kernel.signal_variance + noise_variance - l @ l
     if not d2 > 0.0:
         return None
     chol = np.zeros((n + 1, n + 1))
     chol[:n, :n] = prev.chol
     chol[n, :n] = l
     chol[n, n] = d = np.sqrt(d2)
-    z_n = (targets[-1] - l @ prev.z) / d
+    z_n = (target - l @ prev.z) / d
     return chol, np.append(prev.z, z_n)
 
 
@@ -197,17 +203,26 @@ def gp_fit(
     points,
     targets,
     prev: Optional[GpModel] = None,
+    kx: Optional[np.ndarray] = None,
 ) -> GpModel:
     """Fit an exact GP: build the Gram matrix and factorize it.
 
     When ``prev`` is a jitter-free fit of the same kernel and noise on
     all but the last training point, its factor is extended by one row
     (O(n^2)), ``z`` gains its last entry and the model is marked
-    ``extended``. Otherwise, and when the extension breaks down, the full
-    Gram matrix is factorized, escalating diagonal jitter from 1e-10 to
-    1e-6 if the exact Cholesky fails (then :class:`FactorizationError` is
-    raised), and ``z`` comes from one triangular solve. Raises
-    ``ValueError`` for an empty training set.
+    ``extended``. Only the last target is then checked for finiteness:
+    the others are ``prev``'s, checked when it was fitted. Otherwise, and
+    when the extension breaks down, the full Gram matrix is factorized,
+    escalating diagonal jitter from 1e-10 to 1e-6 if the exact Cholesky
+    fails (then :class:`FactorizationError` is raised), and ``z`` comes
+    from one triangular solve. Raises ``ValueError`` for an empty
+    training set and for non-finite targets.
+
+    ``kx``, when given, is the extension's kernel row k(x, X) of the last
+    training point x with the others, in training order; a caller that
+    already holds those kernel values passes them to save computing them
+    again. Any other length than one less than the training set's raises
+    ``ValueError``.
     """
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
@@ -220,10 +235,19 @@ def gp_fit(
         raise ValueError(
             f"got {points.shape[0]} training points but {n} targets"
         )
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
+    if kx is not None:
+        kx = np.array(kx, dtype=float)  # a copy: the extension overwrites it
+        if kx.shape != (n - 1,):
+            raise ValueError(f"kx has shape {kx.shape}, expected ({n - 1},)")
 
-    grown = _extended_fit(prev, kernel, noise_variance, points, targets)
+    extends = _extends(prev, kernel, noise_variance, points, targets)
+    if not np.all(np.isfinite(targets[-1:] if extends else targets)):
+        raise ValueError("targets must be finite")
+    grown = None
+    if extends:
+        if kx is None:
+            kx = kernel_matrix(kernel, points[-1:], prev.train_points)[0]
+        grown = _extended_fit(prev, noise_variance, targets[-1], kx)
     used = 0.0
     if grown is not None:
         chol, z = grown

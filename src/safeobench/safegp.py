@@ -15,19 +15,31 @@ from the step it turns safe. z is the model's only weight vector. A full
 factorization, and a full solve at the tracked points, happen only on
 the first step and when the extension breaks down. The training points
 and standardized targets live in buffers allocated with V's, one row
-written per step; each fit gets views of their filled rows.
+written per step; each fit gets views of their filled rows. Every
+training point is a tracked node, so one kernel row per step, of the
+newest training point over the tracked points, serves both the
+factor's new row (its entries at the other training points) and V's.
+
+The safe set is kept both as a mask over the grid and as its sorted
+indices, rebuilt only when the set grows, and each set function takes
+the one form it reads. So with n training points and a safe set S, a
+step of the Lipschitz variants does O(n * |S|) GP work and O(|S|)
+bookkeeping, besides the fresh mask the safe-set update returns and
+one count of it, and scans boxes only for balls wider than the grid
+spacing; a step of the Lipschitz-free variants does O(n * grid) work.
 
 * ``safeopt`` / ``safe-ucb`` certify safety with a Lipschitz bound
   around previously-safe points: x is safe iff some safe x_s satisfies
   l(x_s) - L * d(x_s, x) >= h. They differ only in selection. The
   safe-set update tests each certifying x_s against the grid nodes in
   the bounding box of its ball, found by binary search on the grid's
-  sorted axes; a box that holds only x_s itself is skipped. The
-  expanders need each safe point's distance to the nearest outside
-  point. On a rectilinear grid that point always has a safe axis
-  neighbour, so only the outer boundary of the safe set is scanned. The
-  distance depends only on the safe set, so the optimizer caches it
-  until the safe set changes.
+  sorted axes; a box that holds only x_s itself is skipped, and a ball
+  narrower than a quarter of the smallest node spacing is skipped
+  before any search. The expanders need each safe point's distance to
+  the nearest outside point. On a rectilinear grid that point always
+  has a safe axis neighbour, so only the outer boundary of the safe set
+  is scanned. The distance depends only on the safe set, so the
+  optimizer caches it until the safe set grows.
 * ``msafeopt`` / ``msafe-ucb`` drop the Lipschitz constant and certify
   directly from the GP lower bound, l(x) >= h. A boundary point c is an
   expander when a fictitious noiseless observation u(c) at c would lift
@@ -120,7 +132,7 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def update_safe_set_lipschitz(
-    prev_mask: np.ndarray,
+    safe_idx: np.ndarray,
     bounds: ConfidenceBounds,
     lipschitz: float,
     grid: Grid,
@@ -128,7 +140,8 @@ def update_safe_set_lipschitz(
 ) -> np.ndarray:
     """Safe-set update through the Lipschitz bound.
 
-    Returns the previous safe set plus every x with
+    ``safe_idx`` holds the grid indices of the previous safe set. Returns
+    the mask of the previous safe set plus every x with
     l(x_s) - lipschitz * d(x_s, x) >= threshold for at least one x_s in
     the previous safe set (Euclidean d), so the set never shrinks. Only
     the bound entries at previous members are read.
@@ -137,30 +150,38 @@ def update_safe_set_lipschitz(
     remaining member can only certify points inside a ball of radius
     (l - threshold) / lipschitz around it, so its candidates are the grid
     nodes inside the bounding box of that ball, the radius padded well
-    beyond float rounding. One binary search per box edge over the grid's
-    sorted axes gives the box's index range on each axis, and the exact
-    inequality is then evaluated on the box's unmarked nodes only. A box
-    of one node holds only its centre, the certifier itself, which is
-    marked already, so such boxes are dropped before the scan, which does
-    not depend on the order of the boxes for its result.
+    beyond float rounding. A member whose padded radius r is below a
+    quarter of the grid's smallest node spacing g (``Grid.min_spacing``)
+    is dropped before any search: its box holds only its centre c, the
+    member itself, which is marked already. The float margin: adjacent
+    nodes of an axis are at least one ulp apart, so the box edge c +- r,
+    rounded to nearest, lands on a neighbour only if r reaches half their
+    gap; a radius below a quarter gap stays a quarter gap short, far more
+    than the rounding of g itself. For the other members one binary
+    search per box edge over the grid's sorted axes gives the box's
+    index range on each axis, boxes of one node are dropped as well, and
+    the exact inequality is then evaluated on the box's unmarked nodes
+    only, in an order that does not change the result.
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be > 0")
-    prev_idx = np.flatnonzero(prev_mask)
-    if prev_idx.size == 0:
+    if safe_idx.size == 0:
         raise ValueError("previous safe set is empty")
-    n = prev_mask.size
-    l_prev = bounds.lower[prev_idx]
+    mask = np.zeros(grid.n_points, dtype=bool)
+    mask[safe_idx] = True
+    l_prev = bounds.lower[safe_idx]
     keep = l_prev >= threshold
-    certifiers = prev_idx[keep]
     l_cert = l_prev[keep]
-    mask = prev_mask.copy()
-
     radius = (l_cert - threshold) / lipschitz
     slack = 1e-9 * (1.0 + radius) + 1e-9 * (
         np.abs(l_cert) + abs(threshold) + 1.0
     ) / lipschitz
     r_query = radius + slack
+    far = r_query >= 0.25 * grid.min_spacing
+    if not far.any():
+        return mask
+    certifiers = safe_idx[keep][far]
+    l_cert, r_query = l_cert[far], r_query[far]
 
     points = grid.points
     centres = points[certifiers]
@@ -179,7 +200,7 @@ def update_safe_set_lipschitz(
     # already-marked points are skipped below.
     wide = wide[np.argsort(-l_cert[wide])]
     centres, l_cert, lo, hi = centres[wide], l_cert[wide], lo[:, wide], hi[:, wide]
-    index = np.arange(n).reshape(grid.shape)  # row-major, as ``points``
+    index = np.arange(grid.n_points).reshape(grid.shape)  # row-major, as ``points``
     for ci, (first, end) in enumerate(zip(lo.T.tolist(), hi.T.tolist())):
         box = index[tuple(map(slice, first, end))].reshape(-1)
         members = box[~mask[box]]
@@ -198,14 +219,14 @@ def update_safe_set_gp(
     return prev_mask | (bounds.lower >= threshold)
 
 
-def compute_maximizers(safe_mask: np.ndarray, bounds: ConfidenceBounds) -> np.ndarray:
-    """Safe points whose upper bound reaches the best safe lower bound."""
-    idx = np.flatnonzero(safe_mask)
-    if idx.size == 0:
+def compute_maximizers(safe_idx: np.ndarray, bounds: ConfidenceBounds) -> np.ndarray:
+    """Mask of the safe points, of grid indices ``safe_idx``, whose upper
+    bound reaches the best safe lower bound."""
+    if safe_idx.size == 0:
         raise ValueError("safe set is empty")
-    best_lower = bounds.lower[idx].max()
-    mask = np.zeros(safe_mask.size, dtype=bool)
-    mask[idx[bounds.upper[idx] >= best_lower]] = True
+    best_lower = bounds.lower[safe_idx].max()
+    mask = np.zeros(bounds.lower.size, dtype=bool)
+    mask[safe_idx[bounds.upper[safe_idx] >= best_lower]] = True
     return mask
 
 
@@ -251,26 +272,25 @@ def _nearest_outside_distance(
 
 
 def _expanders_lipschitz(
-    safe_mask: np.ndarray,
+    safe_idx: np.ndarray,
     bounds: ConfidenceBounds,
     lipschitz: float,
     outside_dist: np.ndarray,
     threshold: float,
 ) -> np.ndarray:
-    """Expanders for the Lipschitz variants.
+    """Expanders for the Lipschitz variants, as a mask over the grid.
 
     A safe point c expands iff u(c) - lipschitz * d(c, o) >= threshold for
     some outside point o. The test is monotone in distance, so the nearest
     outside point decides it: ``outside_dist`` holds that distance for each
-    safe point (``_nearest_outside_distance``). It depends only on the
-    safe set, so the optimizer caches it across steps.
+    safe point of ``safe_idx`` (``_nearest_outside_distance``). It depends
+    only on the safe set, so the optimizer caches it across steps.
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be > 0")
-    mask = np.zeros(safe_mask.size, dtype=bool)
-    inside = np.flatnonzero(safe_mask)
-    u_in = bounds.upper[inside]
-    mask[inside[u_in - lipschitz * outside_dist >= threshold]] = True
+    mask = np.zeros(bounds.upper.size, dtype=bool)
+    u_in = bounds.upper[safe_idx]
+    mask[safe_idx[u_in - lipschitz * outside_dist >= threshold]] = True
     return mask
 
 
@@ -474,20 +494,19 @@ def _expanders_modified(
     return mask
 
 
-def compute_expanders(
-    safe_mask: np.ndarray, bounds: ConfidenceBounds, state: "SafeGpOptimizer"
-) -> np.ndarray:
-    """Safe points whose optimistic evaluation could grow the safe set."""
+def compute_expanders(bounds: ConfidenceBounds, state: "SafeGpOptimizer") -> np.ndarray:
+    """Mask of the points of ``state``'s safe set whose optimistic
+    evaluation could grow it."""
     if state.uses_lipschitz:
         return _expanders_lipschitz(
-            safe_mask,
+            state.safe_idx,
             bounds,
             state.lipschitz,
-            state.outside_distance(safe_mask),
+            state.outside_distance(),
             state.threshold_z,
         )
     return _expanders_modified(
-        safe_mask,
+        state.safe_mask,
         state.grid.shape,
         state.grid.points,
         state.model,
@@ -502,24 +521,26 @@ def compute_expanders(
 
 def select_next(
     variant: str,
-    safe_mask: np.ndarray,
+    safe_idx: np.ndarray,
     bounds: ConfidenceBounds,
     m_mask: np.ndarray,
     g_mask: np.ndarray,
 ) -> tuple[int, bool]:
-    """Pick the next grid index per ``variant``.
+    """Pick the next grid index per ``variant`` from the safe set, given by
+    its sorted grid indices ``safe_idx``.
 
     Width-based variants take the widest interval over maximizers union
     expanders, falling back to the whole safe set when both are empty
-    (the fallback is flagged). UCB variants take the highest upper bound
-    over the safe set. Ties break to the lowest grid index.
+    (the fallback is flagged). The maximizer and expander masks hold
+    safe points only, so only their entries at ``safe_idx`` are read.
+    UCB variants take the highest upper bound over the safe set. Ties
+    break to the lowest grid index.
     """
-    safe_idx = np.flatnonzero(safe_mask)
     if safe_idx.size == 0:
         raise ValueError("safe set is empty")
     if variant not in _WIDTH_VARIANTS:
         return int(safe_idx[np.argmax(bounds.upper[safe_idx])]), False
-    cand = np.flatnonzero(m_mask | g_mask)
+    cand = safe_idx[m_mask[safe_idx] | g_mask[safe_idx]]
     fallback = cand.size == 0
     if fallback:
         cand = safe_idx
@@ -576,24 +597,35 @@ class SafeGpOptimizer:
         self._points = np.array([o.point for o in seed_observations], dtype=float)
         self._targets = self.transform.forward(ys)
         self._n_train = len(ys)
+        seed_idx = np.array([self.grid.index_of(o.point) for o in seed_observations])
+        # The safe set as a mask over the grid and as its sorted indices,
+        # both replaced only when the set grows.
         self.safe_mask = np.zeros(self.grid.n_points, dtype=bool)
-        for o in seed_observations:
-            self.safe_mask[self.grid.index_of(o.point)] = True
+        self.safe_mask[seed_idx] = True
+        self.safe_idx = np.flatnonzero(self.safe_mask)
 
         # The Lipschitz variants' constant and the tracked grid points,
         # where the posterior is kept across steps in the order first
         # tracked: the safe set, in the order its points turned safe, for
         # the Lipschitz variants, the whole grid (a slice, so the arrays
         # are views) for the others. _mean, _var, _std and V's columns
-        # follow that order.
+        # follow that order, and _column maps a grid index to its tracked
+        # column (-1 if untracked). Every training point is a tracked
+        # node, so the kernel row of the newest one over the tracked
+        # points holds its kernel values with all the others too; _cols
+        # holds each training point's column.
         if self.uses_lipschitz:
             self.lipschitz = problem.lipschitz
             if not self.lipschitz > 0:
                 raise ValueError(f"{variant} requires a positive lipschitz constant")
-            self._track = np.flatnonzero(self.safe_mask)
+            self._track = self.safe_idx
+            self._column = np.full(self.grid.n_points, -1, dtype=np.intp)
+            self._column[self._track] = np.arange(self._track.size)
         else:
             self.lipschitz = 0.0
             self._track = slice(None)
+            self._column = np.arange(self.grid.n_points)
+        self._cols = self._column[seed_idx]
         self.model: Optional[GpModel] = None
         self.m_mask = np.zeros(self.grid.n_points, dtype=bool)
         self.g_mask = np.zeros(self.grid.n_points, dtype=bool)
@@ -615,13 +647,14 @@ class SafeGpOptimizer:
         # ``_update`` downdates them with V's new row in tracked order,
         # which is grid order for the variants that keep rows.
         self._cov_rows = _CovarianceRows(self.grid.n_points)
-        # Lipschitz expanders: nearest-outside distances of the safe points
-        # and the safe mask they were computed for.
+        # Lipschitz expanders: nearest-outside distances of the safe points,
+        # one per point, so their size tells which safe set they are for.
         self._outside_dist: Optional[np.ndarray] = None
-        self._outside_dist_mask: Optional[np.ndarray] = None
         self.diagnostics: list[dict] = []
 
-    def _refit(self) -> GpModel:
+    def _refit(self, row: Optional[np.ndarray]) -> GpModel:
+        """Fit the model to the training buffers; ``row`` is the newest
+        training point's kernel row over the tracked points, if any."""
         n = self._n_train
         self.model = gp_fit(
             self.kernel,
@@ -629,6 +662,7 @@ class SafeGpOptimizer:
             self._points[:n],
             self._targets[:n],
             prev=self.model,
+            kx=None if row is None else row[self._cols[: n - 1]],
         )
         return self.model
 
@@ -643,18 +677,20 @@ class SafeGpOptimizer:
         mean, std, v = posterior_detail(self.model, self.grid.points[added])
         self._v_buffer[:n, k : k + added.size] = v
         self._v = self._v_buffer[:n, : k + added.size]
+        self._column[added] = np.arange(k, k + added.size)
         self._track = np.concatenate([self._track, added])
         self._mean = np.concatenate([self._mean, mean])
         self._var = np.concatenate([self._var, np.square(std)])
         self._std = np.concatenate([self._std, std])
         self._set_bounds(added, mean, std)
 
-    def _update(self) -> None:
+    def _update(self, row: Optional[np.ndarray]) -> None:
         """Bring the tracked posterior to the new model, then update the
-        bounds and the safe set."""
+        bounds and the safe set. ``row`` is the newest training point's
+        kernel row over the tracked points, or None on the first step; it
+        is overwritten."""
         model = self.model
         n = model.n_train
-        points = self.grid.points[self._track]
         if model.extended:
             # The model grew the previous step's model, which the tracked
             # posterior was computed for, by one point x. With the new
@@ -663,7 +699,6 @@ class SafeGpOptimizer:
             # change by z_n * row and -row^2, each kept covariance row of a
             # point c by -row[c] * row.
             l, d = model.chol[-1, :-1], model.chol[-1, -1]
-            row = kernel_matrix(self.kernel, model.train_points[-1:], points)[0]
             row -= l @ self._v
             row /= d
             self._v_buffer[n - 1, : row.size] = row
@@ -671,38 +706,37 @@ class SafeGpOptimizer:
             self._var -= np.square(row)
             self._cov_rows.downdate(row)
         else:
-            self._mean, std, v = posterior_detail(model, points)
+            self._mean, std, v = posterior_detail(model, self.grid.points[self._track])
             self._var = np.square(std)
             self._v_buffer[:n, : v.shape[1]] = v
             self._cov_rows.clear()
         self._v = self._v_buffer[:n, : self._mean.size]
         self._std = np.sqrt(np.clip(self._var, 0.0, None))
         self._set_bounds(self._track, self._mean, self._std)
-        if not self.uses_lipschitz:
-            self.safe_mask = update_safe_set_gp(
-                self.safe_mask, self._bounds, self.threshold_z
+        if self.uses_lipschitz:
+            new_mask = update_safe_set_lipschitz(
+                self.safe_idx,
+                self._bounds,
+                self.lipschitz,
+                self.grid,
+                self.threshold_z,
             )
-            return
-        new_mask = update_safe_set_lipschitz(
-            self.safe_mask,
-            self._bounds,
-            self.lipschitz,
-            self.grid,
-            self.threshold_z,
-        )
-        added = np.flatnonzero(new_mask & ~self.safe_mask)
-        if added.size:
-            self._track_more(added)
-        self.safe_mask = new_mask
+        else:
+            new_mask = update_safe_set_gp(self.safe_mask, self._bounds, self.threshold_z)
+        # The set only grows, so its size tells whether it changed.
+        if np.count_nonzero(new_mask) > self.safe_idx.size:
+            safe_idx = np.flatnonzero(new_mask)
+            if self.uses_lipschitz:
+                self._track_more(safe_idx[~self.safe_mask[safe_idx]])
+            self.safe_idx, self.safe_mask = safe_idx, new_mask
 
-    def outside_distance(self, safe_mask: np.ndarray) -> np.ndarray:
-        """``_nearest_outside_distance`` of ``safe_mask`` over the grid,
-        recomputed only when the mask differs from the cached one's."""
-        if not np.array_equal(safe_mask, self._outside_dist_mask):
+    def outside_distance(self) -> np.ndarray:
+        """``_nearest_outside_distance`` of the safe set, one entry per
+        point of ``safe_idx``, recomputed only when the set has grown."""
+        if self._outside_dist is None or self._outside_dist.size != self.safe_idx.size:
             self._outside_dist = _nearest_outside_distance(
-                safe_mask, self.grid.shape, self.grid.points
+                self.safe_mask, self.grid.shape, self.grid.points
             )
-            self._outside_dist_mask = safe_mask.copy()
         return self._outside_dist
 
     def step(self, oracle: Oracle) -> Observation:
@@ -715,24 +749,37 @@ class SafeGpOptimizer:
                 [self._points, np.empty((pad, self.grid.dimension))]
             )
             self._targets = np.concatenate([self._targets, np.empty(pad)])
-        self._refit()
-        self._update()
+            self._cols = np.concatenate([self._cols, np.empty(pad, dtype=np.intp)])
+        # The newest training point's kernel row over the tracked points,
+        # computed once: it gives the factor extension its k(x, X) and V
+        # its new row. The first step's model is factorized from scratch.
+        row = None
+        if self.model is not None:
+            n = self._n_train
+            tracked = self.grid.points[self._track]
+            row = kernel_matrix(self.kernel, self._points[n - 1 : n], tracked)[0]
+        self._refit(row)
+        self._update(row)
         if self.variant in _WIDTH_VARIANTS:
-            self.m_mask = compute_maximizers(self.safe_mask, self._bounds)
-            self.g_mask = compute_expanders(self.safe_mask, self._bounds, self)
+            self.m_mask = compute_maximizers(self.safe_idx, self._bounds)
+            self.g_mask = compute_expanders(self._bounds, self)
         idx, fallback = select_next(
-            self.variant, self.safe_mask, self._bounds, self.m_mask, self.g_mask
+            self.variant, self.safe_idx, self._bounds, self.m_mask, self.g_mask
         )
         obs = oracle.evaluate(self.grid.points[idx])
+        node = idx
+        if obs.point != tuple(self.grid.points[idx].tolist()):
+            node = self.grid.index_of(obs.point)  # an oracle that observed elsewhere
         self._points[self._n_train] = obs.point
         self._targets[self._n_train] = self.transform.forward(obs.y)
+        self._cols[self._n_train] = self._column[node]
         self._n_train += 1
         self.diagnostics.append(
             {
                 "step": obs.step_index,
-                "safe_size": int(self.safe_mask.sum()),
-                "n_maximizers": int(self.m_mask.sum()),
-                "n_expanders": int(self.g_mask.sum()),
+                "safe_size": int(self.safe_idx.size),
+                "n_maximizers": int(np.count_nonzero(self.m_mask)),
+                "n_expanders": int(np.count_nonzero(self.g_mask)),
                 "chosen_index": idx,
                 "fallback": fallback,
                 "gp_jitter": self.model.jitter,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,6 +90,13 @@ class Grid:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def min_spacing(self) -> float:
+        """The smallest gap between adjacent nodes of any axis (inf when
+        no axis has two nodes), computed once per grid."""
+        gaps = [np.diff(a).min() for a in self.axes if a.size > 1]
+        return float(min(gaps)) if gaps else math.inf
 
     def index_of(self, point: Sequence[float]) -> int:
         """Exact index lookup for a point that is a grid node.

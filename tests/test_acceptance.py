@@ -130,7 +130,7 @@ def test_c02_safe_set_brute_force_equality():
         lipschitz = float(rng.choice([0.01, 0.05, 0.5, 2.0, rng.uniform(0, 20)]))
         threshold = float(rng.normal(0, 1.5))
         got = update_safe_set_lipschitz(
-            prev, fake_bounds(lower), lipschitz, grid, threshold
+            np.flatnonzero(prev), fake_bounds(lower), lipschitz, grid, threshold
         )
         want = brute_force_lipschitz_update(
             prev, lower, lipschitz, grid.points, threshold

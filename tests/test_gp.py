@@ -225,6 +225,59 @@ class TestIncrementalFit:
         model = gp_fit(KernelSpec(), 0.0, pts + [[-3.0, 0.0]], [1.0, 1.0, 2.0, 0.5], prev=prev)
         assert not model.extended
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_target_rejected_on_both_paths(self, bad):
+        # Extension path: only the new target is checked, the others being
+        # prev's. Refactor path: every target is, wherever it sits.
+        rng = np.random.default_rng(17)
+        kernel = KernelSpec(lengthscale=1.1)
+        X = rng.uniform(-3, 3, size=(5, 2))
+        y = rng.normal(size=5)
+        prev = gp_fit(kernel, 0.05, X[:4], y[:4])
+        assert gp_fit(kernel, 0.05, X, y, prev=prev).extended
+        other_noise = gp_fit(kernel, 0.1, X[:4], y[:4])  # does not apply
+        for i in range(5):
+            y_bad = y.copy()
+            y_bad[i] = bad
+            # i = 4 with prev: the extension path; every other case
+            # refactors, since prev's targets differ or prev does not apply
+            for candidate in (None, other_noise, prev):
+                with pytest.raises(ValueError, match="finite"):
+                    gp_fit(kernel, 0.05, X, y_bad, prev=candidate)
+
+    def test_kernel_row_from_the_caller_has_the_same_bits(self):
+        # The optimizers pass k(x, X) gathered from x's kernel row over a
+        # larger, reordered point set; the kernel is elementwise, so the
+        # factor and z are the bits of the row gp_fit computes itself.
+        rng = np.random.default_rng(29)
+        kernel = KernelSpec(lengthscale=0.9, signal_variance=3.0)
+        nodes = rng.uniform(-5, 5, size=(300, 2))
+        order = rng.permutation(300)[:60]
+        X, y = nodes[order], rng.normal(size=60)
+        grown = gp_fit(kernel, 0.02, X[:1], y[:1])
+        for n in range(1, 60):
+            row = kernel_matrix(kernel, X[n : n + 1], nodes)[0]
+            kx = row[order[:n]]
+            before = kx.copy()
+            own = gp_fit(kernel, 0.02, X[: n + 1], y[: n + 1], prev=grown)
+            given = gp_fit(kernel, 0.02, X[: n + 1], y[: n + 1], prev=grown, kx=kx)
+            assert own.extended and given.extended
+            assert given.chol.tobytes() == own.chol.tobytes()
+            assert given.z.tobytes() == own.z.tobytes()
+            assert kx.tobytes() == before.tobytes()  # the caller's row is kept
+            grown = given
+
+    def test_kernel_row_of_the_wrong_length_rejected(self):
+        kernel = KernelSpec()
+        X = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]
+        prev = gp_fit(kernel, 0.1, X[:2], [1.0, 0.5])
+        good = kernel_matrix(kernel, X[2:], X[:2])[0]
+        for bad in (good[:1], np.append(good, 1.0), good[None, :], np.empty(0)):
+            with pytest.raises(ValueError, match="kx"):
+                gp_fit(kernel, 0.1, X, [1.0, 0.5, 0.2], prev=prev, kx=bad)
+            with pytest.raises(ValueError, match="kx"):
+                gp_fit(kernel, 0.1, X, [1.0, 0.5, 0.2], kx=bad)
+
     def test_prev_with_other_rows_is_refactored(self):
         kernel = KernelSpec()
         prev = gp_fit(kernel, 0.1, [[0.0, 0.0]], [1.0])

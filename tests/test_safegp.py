@@ -187,7 +187,9 @@ def fake_bounds(lower, upper=None):
 
 def lipschitz_expanders(safe_mask, bounds, lipschitz, shape, points, threshold):
     dist = _nearest_outside_distance(safe_mask, shape, points)
-    return _expanders_lipschitz(safe_mask, bounds, lipschitz, dist, threshold)
+    return _expanders_lipschitz(
+        np.flatnonzero(safe_mask), bounds, lipschitz, dist, threshold
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,9 @@ class TestLipschitzSafeSetUpdate:
         rng = np.random.default_rng(7)
         for _ in range(30):
             prev, lower, L, grid, h = random_lipschitz_instance(rng)
-            got = update_safe_set_lipschitz(prev, fake_bounds(lower), L, grid, h)
+            got = update_safe_set_lipschitz(
+                np.flatnonzero(prev), fake_bounds(lower), L, grid, h
+            )
             want = brute_force_lipschitz_update(prev, lower, L, grid.points, h)
             np.testing.assert_array_equal(got, want)
 
@@ -210,7 +214,9 @@ class TestLipschitzSafeSetUpdate:
             prev, lower, L, grid, h = random_lipschitz_instance(rng)
             if trial % 2:
                 lower[prev] = h - rng.uniform(0.0, 5.0, size=int(prev.sum())) - 1e-9
-            got = update_safe_set_lipschitz(prev, fake_bounds(lower), L, grid, h)
+            got = update_safe_set_lipschitz(
+                np.flatnonzero(prev), fake_bounds(lower), L, grid, h
+            )
             assert got.dtype == bool and got.shape == prev.shape
             assert np.all(got[prev])
 
@@ -220,7 +226,9 @@ class TestLipschitzSafeSetUpdate:
         grid = grid_of(np.arange(5.0))
         prev = np.array([False, False, True, False, False])
         lower = np.array([np.nan, np.nan, 5.0, np.nan, np.nan])
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 3.0)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 1.0, grid, 3.0
+        )
         assert got.all()
 
     def test_radius_rounded_below_an_edge_node(self):
@@ -232,7 +240,9 @@ class TestLipschitzSafeSetUpdate:
         lower = np.full(11, np.nan)
         lower[0] = 0.7 * 0.1
         assert lower[0] / 0.7 < grid.axes[0][1]
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.7, grid, 0.0)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 0.7, grid, 0.0
+        )
         np.testing.assert_array_equal(got, np.arange(11) < 2)
 
     def test_box_edge_rounded_onto_a_node(self):
@@ -243,7 +253,9 @@ class TestLipschitzSafeSetUpdate:
         grid = grid_of(c + np.arange(-2.0, 3.0))
         prev = np.array([False, False, True, False, False])
         lower = np.array([np.nan, np.nan, 1.0, np.nan, np.nan])
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 0.0)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 1.0, grid, 0.0
+        )
         np.testing.assert_array_equal(got, [False, True, True, True, False])
 
     def test_zero_lipschitz_rejected(self):
@@ -252,21 +264,27 @@ class TestLipschitzSafeSetUpdate:
         lower = np.array([3.5, np.nan, np.nan, np.nan])
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="lipschitz"):
-                update_safe_set_lipschitz(prev, fake_bounds(lower), bad, grid, 3.0)
+                update_safe_set_lipschitz(
+                    np.flatnonzero(prev), fake_bounds(lower), bad, grid, 3.0
+                )
 
     def test_huge_lipschitz_adds_nothing(self):
         grid = grid_of(np.linspace(0, 1, 6))
         prev = np.array([True, True, False, False, False, True])
         lower = np.full(6, np.nan)
         lower[[0, 1, 5]] = [4.0, 2.0, 3.5]  # member 1 is below h, and stays
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1e9, grid, 3.0)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 1e9, grid, 3.0
+        )
         np.testing.assert_array_equal(got, prev)
 
     def test_no_certifier_keeps_prev(self):
         grid = grid_of(np.arange(3.0))
         prev = np.array([True, True, False])
         lower = np.array([1.0, 2.0, np.nan])
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 3.0)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 1.0, grid, 3.0
+        )
         np.testing.assert_array_equal(got, prev)
 
     def test_no_certifier_on_a_2d_grid_keeps_prev(self):
@@ -277,7 +295,9 @@ class TestLipschitzSafeSetUpdate:
         prev[[0, 7, 19]] = True
         lower = np.full(grid.n_points, np.nan)
         lower[[0, 7, 19]] = [-2.0, np.nextafter(3.0, 0.0), 2.5]
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.5, grid, 3.0)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 0.5, grid, 3.0
+        )
         assert got.dtype == bool and got.shape == (grid.n_points,)
         np.testing.assert_array_equal(got, prev)
 
@@ -285,7 +305,7 @@ class TestLipschitzSafeSetUpdate:
         grid = grid_of(np.arange(3.0))
         with pytest.raises(ValueError):
             update_safe_set_lipschitz(
-                np.zeros(3, bool), fake_bounds(np.zeros(3)), 1.0, grid, 0.0
+                np.array([], dtype=np.intp), fake_bounds(np.zeros(3)), 1.0, grid, 0.0
             )
 
     def test_balls_larger_than_the_domain(self):
@@ -296,7 +316,9 @@ class TestLipschitzSafeSetUpdate:
         prev = np.zeros(n, bool)
         prev[rng.choice(n, size=10, replace=False)] = True
         lower = np.where(prev, rng.uniform(3, 9, n), np.nan)
-        got = update_safe_set_lipschitz(prev, fake_bounds(lower), 0.05, grid, 3.0)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 0.05, grid, 3.0
+        )
         want = brute_force_lipschitz_update(prev, lower, 0.05, grid.points, 3.0)
         np.testing.assert_array_equal(got, want)
         assert got.all()
@@ -315,7 +337,9 @@ class TestLipschitzSafeSetUpdate:
             prev[rng.choice(n, size=int(rng.integers(1, 30)), replace=False)] = True
             lower = rng.normal(0, 2, size=n)
             L = float(rng.uniform(0.2, 5))
-            got = update_safe_set_lipschitz(prev, fake_bounds(lower), L, grid, 0.0)
+            got = update_safe_set_lipschitz(
+                np.flatnonzero(prev), fake_bounds(lower), L, grid, 0.0
+            )
             want = brute_force_lipschitz_update(prev, lower, L, grid.points, 0.0)
             np.testing.assert_array_equal(got, want)
 
@@ -346,14 +370,81 @@ class TestLipschitzSafeSetUpdate:
             node[k] += 1
             neighbour = int(np.ravel_multi_index(node, grid.shape))
             prev[c], lower[c] = True, spacing
-            got = update_safe_set_lipschitz(prev, fake_bounds(lower), 1.0, grid, 0.0)
+            got = update_safe_set_lipschitz(
+                np.flatnonzero(prev), fake_bounds(lower), 1.0, grid, 0.0
+            )
             want = brute_force_lipschitz_update(prev, lower, 1.0, grid.points, 0.0)
             np.testing.assert_array_equal(got, want)
             assert got[neighbour]
             # Only centre-only boxes: they certify no point outside prev.
             centred = np.where(prev, np.minimum(lower, 0.25 * spacing), np.nan)
-            got = update_safe_set_lipschitz(prev, fake_bounds(centred), 1.0, grid, 0.0)
+            got = update_safe_set_lipschitz(
+                np.flatnonzero(prev), fake_bounds(centred), 1.0, grid, 0.0
+            )
             np.testing.assert_array_equal(got, prev)
+
+    @pytest.mark.parametrize("offset", [0.0, -1e6, 1e6])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_spacing_pre_test_matches_brute_force(self, dim, offset):
+        # Certifiers whose padded radius falls just below, at and just
+        # above a quarter of the smallest spacing g, and at a neighbour's
+        # distance g, on evenly spaced axes of their own spacing each and
+        # on uneven ones, shifted by up to 1e6 where the ulp is 1.2e-10.
+        # With L = 1 and h = 0 the padded radius is about l (1 + 2e-9).
+        rng = np.random.default_rng(40 + 10 * dim + int(np.sign(offset)))
+        for trial in range(12):
+            axes = []
+            for _ in range(dim):
+                n = int(rng.integers(2, 12 if dim < 3 else 7))
+                if trial % 2:
+                    span = rng.uniform(0.5, 20.0)
+                    axes.append(offset + np.linspace(-span, span, n))
+                else:
+                    axes.append(offset + np.cumsum(rng.uniform(0.05, 3.0, size=n)))
+            grid = grid_of(*axes)
+            g = grid.min_spacing
+            q = 0.25 * g / (1.0 + 4e-9)  # a padded radius near g / 4
+            radii = [np.nextafter(q, 0.0), q, np.nextafter(q, np.inf), 1.01 * q,
+                     0.99 * q, g, np.nextafter(g, 0.0), 0.0]
+            n = grid.n_points
+            prev = rng.random(n) < 0.4
+            prev[rng.integers(n)] = True
+            lower = np.where(prev, rng.choice(radii, size=n), np.nan)
+            got = update_safe_set_lipschitz(
+                np.flatnonzero(prev), fake_bounds(lower), 1.0, grid, 0.0
+            )
+            want = brute_force_lipschitz_update(prev, lower, 1.0, grid.points, 0.0)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [0.0, -1e6, 1e6])
+    def test_boxes_below_a_quarter_spacing_hold_their_centre_only(self, offset):
+        # The float margin of the pre-test, on axes whose adjacent nodes
+        # are as close as floats allow: 1 to 3 ulps apart around the
+        # offset, then ordinary gaps. A box edge c +- r with r below a
+        # quarter of the smallest gap finds c alone on its axis.
+        axis = [offset - 2.0]
+        for ulps in (1, 3, 2, 1):
+            node = axis[-1]
+            for _ in range(ulps):
+                node = np.nextafter(node, np.inf)
+            axis.append(node)
+        axis = np.array(axis + [axis[-1] + 0.5, axis[-1] + 1.75])
+        grid = grid_of(axis)
+        g = grid.min_spacing
+        assert g == axis[1] - axis[0] and axis[1] == np.nextafter(axis[0], np.inf)
+        for r in (np.nextafter(0.25 * g, 0.0), 0.1 * g, 0.0):
+            lo = np.searchsorted(axis, axis - r, side="left")
+            hi = np.searchsorted(axis, axis + r, side="right")
+            np.testing.assert_array_equal(lo, np.arange(axis.size))
+            np.testing.assert_array_equal(hi, np.arange(axis.size) + 1)
+        prev = np.ones(axis.size, dtype=bool)
+        prev[[2, 5]] = False
+        lower = np.where(prev, np.nextafter(0.25 * g, 0.0) / (1 + 4e-9), np.nan)
+        got = update_safe_set_lipschitz(
+            np.flatnonzero(prev), fake_bounds(lower), 1.0, grid, 0.0
+        )
+        want = brute_force_lipschitz_update(prev, lower, 1.0, grid.points, 0.0)
+        np.testing.assert_array_equal(got, want)
 
     def test_styblinski_run_has_only_centre_only_boxes(self, monkeypatch):
         # Pins the traffic of safeopt run 0 on the paper's Styblinski-Tang
@@ -367,8 +458,10 @@ class TestLipschitzSafeSetUpdate:
         update = safegp.update_safe_set_lipschitz
         calls = []
 
-        def spy(prev_mask, bounds, lipschitz, grid, threshold):
-            got = update(prev_mask, bounds, lipschitz, grid, threshold)
+        def spy(safe_idx, bounds, lipschitz, grid, threshold):
+            got = update(safe_idx, bounds, lipschitz, grid, threshold)
+            prev_mask = np.zeros(grid.n_points, dtype=bool)
+            prev_mask[safe_idx] = True
             certified = prev_mask & (bounds.lower >= threshold)
             radius = (bounds.lower[certified] - threshold) / lipschitz
             spacing = min(np.diff(axis).min() for axis in grid.axes)
@@ -428,24 +521,29 @@ class TestGpSafeSetUpdate:
 class TestMaximizers:
     def test_singleton(self):
         safe = np.array([False, True, False])
-        m = compute_maximizers(safe, fake_bounds([np.nan, 1.0, np.nan], [np.nan, 2.0, np.nan]))
+        m = compute_maximizers(
+            np.flatnonzero(safe),
+            fake_bounds([np.nan, 1.0, np.nan], [np.nan, 2.0, np.nan]),
+        )
         np.testing.assert_array_equal(m, safe)
 
     def test_identical_bounds_select_all(self):
         safe = np.ones(4, bool)
-        m = compute_maximizers(safe, fake_bounds([1.0] * 4, [2.0] * 4))
+        m = compute_maximizers(np.flatnonzero(safe), fake_bounds([1.0] * 4, [2.0] * 4))
         np.testing.assert_array_equal(m, safe)
 
     def test_worked_example(self):
         # (l, u) = (0,1), (2,3), (-1, 2.5): max l = 2, M = points 2 and 3
         safe = np.ones(3, bool)
-        m = compute_maximizers(safe, fake_bounds([0.0, 2.0, -1.0], [1.0, 3.0, 2.5]))
+        m = compute_maximizers(
+            np.flatnonzero(safe), fake_bounds([0.0, 2.0, -1.0], [1.0, 3.0, 2.5])
+        )
         np.testing.assert_array_equal(m, [False, True, True])
 
     def test_restricted_to_safe(self):
         safe = np.array([True, False, True])
         m = compute_maximizers(
-            safe, fake_bounds([0.0, 99.0, 1.0], [5.0, 100.0, 2.0])
+            np.flatnonzero(safe), fake_bounds([0.0, 99.0, 1.0], [5.0, 100.0, 2.0])
         )
         assert not m[1]
         assert m.sum() >= 1
@@ -976,14 +1074,16 @@ class TestSelectNext:
         safe = np.array([True, True, True, False])
         bounds = fake_bounds([0.0] * 4, [1.0, 3.0, 2.0, 9.0])
         none = np.zeros(4, bool)
-        idx, fb = select_next("safe-ucb", safe, bounds, none, none)
+        idx, fb = select_next("safe-ucb", np.flatnonzero(safe), bounds, none, none)
         assert (idx, fb) == (1, False)
 
     def test_width_tie_breaks_to_lowest_index(self):
         safe = np.ones(3, bool)
         bounds = fake_bounds([0.0, 0.0, 0.0], [1.0, 1.0, 0.5])
         m = np.array([True, True, False])
-        idx, fb = select_next("safeopt", safe, bounds, m, np.zeros(3, bool))
+        idx, fb = select_next(
+            "safeopt", np.flatnonzero(safe), bounds, m, np.zeros(3, bool)
+        )
         assert (idx, fb) == (0, False)
 
     def test_singleton_safe_set(self):
@@ -991,23 +1091,25 @@ class TestSelectNext:
         bounds = fake_bounds([np.nan, 0.0], [np.nan, 1.0])
         m = np.array([False, True])
         none = np.zeros(2, bool)
-        idx, _ = select_next("safeopt", safe, bounds, m, none)
+        idx, _ = select_next("safeopt", np.flatnonzero(safe), bounds, m, none)
         assert idx == 1
-        idx, _ = select_next("msafe-ucb", safe, bounds, none, none)
+        idx, _ = select_next("msafe-ucb", np.flatnonzero(safe), bounds, none, none)
         assert idx == 1
 
     def test_fallback_when_both_sets_empty(self):
         safe = np.array([True, True, False])
         bounds = fake_bounds([0.0, -1.0, np.nan], [0.5, 1.0, np.nan])
         none = np.zeros(3, bool)
-        idx, fb = select_next("msafeopt", safe, bounds, none, none)
+        idx, fb = select_next("msafeopt", np.flatnonzero(safe), bounds, none, none)
         assert fb is True
         assert idx == 1  # widest over the safe set
 
     def test_empty_safe_set_raises(self):
         none = np.zeros(3, bool)
         with pytest.raises(ValueError, match="safe set is empty"):
-            select_next("safeopt", none, fake_bounds([0.0] * 3), none, none)
+            select_next(
+                "safeopt", np.flatnonzero(none), fake_bounds([0.0] * 3), none, none
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1065,6 +1167,44 @@ class TestOptimizerIntegration:
                 opt.step(oracle)
             seqs.append([o.point for o in oracle.log])
         assert seqs[0] == seqs[1]
+
+
+class TestKeptSafeIndices:
+    """After every step of runs 0-2 of both paper configs: the kept safe
+    indices are the safe mask's, the maximizer and expander masks lie in
+    the safe set (``select_next`` reads them there only), and the cached
+    nearest-outside distances are a fresh computation's."""
+
+    @pytest.mark.parametrize("variant", ["safeopt", "safe-ucb", "msafeopt", "msafe-ucb"])
+    @pytest.mark.parametrize("config", ["sphere", "styblinski_s1"])
+    def test_invariants_at_every_step(self, config, variant, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        plan = harness.make_plan(
+            harness.normalize_config(harness.load_config(path)), [variant], 3
+        )
+        step = SafeGpOptimizer.step
+        sizes = []
+
+        def checked_step(opt, oracle):
+            obs = step(opt, oracle)
+            np.testing.assert_array_equal(opt.safe_idx, np.flatnonzero(opt.safe_mask))
+            assert np.all(opt.safe_mask[opt.m_mask])
+            assert np.all(opt.safe_mask[opt.g_mask])
+            if opt.uses_lipschitz:
+                grid = opt.grid
+                fresh = _nearest_outside_distance(opt.safe_mask, grid.shape, grid.points)
+                assert opt.outside_distance().tobytes() == fresh.tobytes()
+            assert opt.diagnostics[-1]["safe_size"] == opt.safe_idx.size
+            sizes.append(opt.safe_idx.size)
+            return obs
+
+        monkeypatch.setattr(SafeGpOptimizer, "step", checked_step)
+        for run_index in range(3):
+            result = harness.run(plan, variant, run_index)
+            assert result.termination == "budget_exhausted"
+        assert len(sizes) == 3 * 90
+        if config == "sphere":
+            assert max(sizes) > 10  # the safe set grows past the seeds
 
 
 class TestIncrementalGridPosterior:
@@ -1252,7 +1392,7 @@ class TestLipschitzExpanderCache:
             np.testing.assert_array_equal(opt.g_mask, want)
             np.testing.assert_array_equal(computed[-1], opt.safe_mask)
             dist = brute_force_nearest_outside(opt.safe_mask, pts)
-            assert opt.outside_distance(opt.safe_mask).tobytes() == dist.tobytes()
+            assert opt.outside_distance().tobytes() == dist.tobytes()
             masks.append(opt.safe_mask.copy())
         changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
         if grows:
