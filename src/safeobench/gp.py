@@ -13,9 +13,12 @@ without ``solve_triangular``'s validation and batching wrapper; a
 caller that already holds the new point's kernel row k(x, X) passes it
 in. A model keeps the training arrays it was given; the optimizers pass
 views of buffers they grow in place, whose rows a model covers are
-never rewritten. Training sizes never exceed the evaluation budget
-(~100 points), so no approximations are needed, and a posterior query
-solves for all its points in one triangular solve.
+never rewritten. An extension checks only the new row: the earlier
+rows are recognized as the previous model's by one byte comparison,
+and only the new target is checked for finiteness. Training sizes
+never exceed the evaluation budget (~100 points), so no approximations
+are needed, and a posterior query solves for all its points in one
+triangular solve.
 
 Squared distances are summed with numpy one axis at a time, in the order
 ``scipy.spatial.distance.cdist(a, b, "sqeuclidean")`` sums them, so the
@@ -25,6 +28,7 @@ the GP stack needs only ``scipy.linalg``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -148,6 +152,20 @@ class GpModel:
         return self.train_points.shape[0]
 
 
+def _same_rows(old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether ``old`` holds the values of ``new``, both float arrays.
+
+    Equal bytes, one ``memcmp``-speed pass, decide at once; other arrays,
+    which may still be equal (0.0 and -0.0), are compared by value. Equal
+    bytes are equal values for any array without NaN, and a fitted
+    model's arrays hold none: its targets are checked, and a NaN point
+    makes every fit fail.
+    """
+    return old.shape == new.shape and (
+        old.tobytes() == new.tobytes() or np.array_equal(old, new)
+    )
+
+
 def _extends(prev, kernel, noise_variance, points, targets) -> bool:
     """Whether ``prev`` is a jitter-free fit of the same kernel and noise
     on all but the last training point.
@@ -163,8 +181,8 @@ def _extends(prev, kernel, noise_variance, points, targets) -> bool:
         and prev.jitter == 0.0
         and prev.kernel == kernel
         and prev.noise_variance == noise_variance
-        and np.array_equal(prev.train_points, points[:-1])
-        and np.array_equal(prev.train_targets, targets[:-1])
+        and _same_rows(prev.train_points, points[:-1])
+        and _same_rows(prev.train_targets, targets[:-1])
     )
 
 
@@ -189,12 +207,15 @@ def _extended_fit(prev, noise_variance, target, kx):
     d2 = prev.kernel.signal_variance + noise_variance - l @ l
     if not d2 > 0.0:
         return None
-    chol = np.zeros((n + 1, n + 1))
+    chol = np.empty((n + 1, n + 1))
     chol[:n, :n] = prev.chol
+    chol[:n, n] = 0.0
     chol[n, :n] = l
     chol[n, n] = d = np.sqrt(d2)
-    z_n = (target - l @ prev.z) / d
-    return chol, np.append(prev.z, z_n)
+    z = np.empty(n + 1)
+    z[:n] = prev.z
+    z[n] = (target - l @ prev.z) / d
+    return chol, z
 
 
 def gp_fit(
@@ -241,7 +262,7 @@ def gp_fit(
             raise ValueError(f"kx has shape {kx.shape}, expected ({n - 1},)")
 
     extends = _extends(prev, kernel, noise_variance, points, targets)
-    if not np.all(np.isfinite(targets[-1:] if extends else targets)):
+    if not (math.isfinite(targets[-1]) if extends else np.all(np.isfinite(targets))):
         raise ValueError("targets must be finite")
     grown = None
     if extends:
@@ -303,7 +324,7 @@ def posterior_detail(model: GpModel, queries):
     v = solve_triangular(model.chol, kq, lower=True, check_finite=False)
     mean = model.z @ v
     var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
-    np.clip(var, 0.0, None, out=var)
+    np.maximum(var, 0.0, out=var)
     return mean, np.sqrt(var), v
 
 

@@ -585,7 +585,9 @@ def load_run_csv(path) -> list[Observation]:
 
     Accepts ``\\r\\n`` and ``\\n`` line ends. Raises :class:`ConfigError`
     for a file that is empty, has a header other than the writer's, or
-    has a row of the wrong width or with a field that does not parse.
+    has a row of the wrong width, with a field that does not parse, with
+    an ``is_unsafe`` other than ``0`` or ``1``, or with a ``step`` that
+    breaks the count 1, 2, ..., n.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -600,13 +602,18 @@ def load_run_csv(path) -> list[Observation]:
             row = line.split(",")  # step, x1..xd, y, f_true, is_unsafe, bsf_true
             if len(row) != width:
                 raise ValueError(f"{len(row)} fields, the header has {width}")
+            step = len(records) + 1
+            if row[0] != str(step):
+                raise ValueError(f"step {row[0]!r}, expected {step}")
+            if row[-2] not in ("0", "1"):
+                raise ValueError(f"is_unsafe {row[-2]!r}, expected 0 or 1")
             records.append(
                 Observation(
                     point=tuple(map(float, row[1:-4])),
                     y=float(row[-4]),
                     f_true=float(row[-3]),
-                    is_unsafe=bool(int(row[-2])),
-                    step_index=int(row[0]),
+                    is_unsafe=row[-2] == "1",
+                    step_index=step,
                     bsf_true=float(row[-1]),
                 )
             )

@@ -19,6 +19,11 @@ written per step; each fit gets views of their filled rows. Every
 training point is a tracked node, so one kernel row per step, of the
 newest training point over the tracked points, serves both the
 factor's new row (its entries at the other training points) and V's.
+It is computed from a column-major copy of the tracked points: the
+grid's, made once, for the Lipschitz-free variants, the safe set's,
+renewed when it grows, for the Lipschitz ones. These also keep the row
+of each node they query until the safe set grows, so a node queried
+again, as on most Lipschitz steps, reuses its row.
 
 The safe set is kept both as a mask over the grid and as its sorted
 indices, rebuilt only when the set grows, and each set function takes
@@ -626,6 +631,14 @@ class SafeGpOptimizer:
             self._track = slice(None)
             self._column = np.arange(self.grid.n_points)
         self._cols = self._column[seed_idx]
+        # The tracked points, column-major as ``kernel_matrix`` reads them,
+        # copied once for the whole grid and again each time a Lipschitz
+        # safe set grows. The Lipschitz variants keep the kernel row over
+        # them of each node queried since they last grew, by tracked
+        # column, so a node queried again reuses its row; at most (distinct
+        # queried nodes) x |S| floats.
+        self._tracked_points = np.asfortranarray(self.grid.points[self._track])
+        self._rows: dict[int, np.ndarray] = {}
         self.model: Optional[GpModel] = None
         self.m_mask = np.zeros(self.grid.n_points, dtype=bool)
         self.g_mask = np.zeros(self.grid.n_points, dtype=bool)
@@ -666,9 +679,30 @@ class SafeGpOptimizer:
         )
         return self.model
 
+    def _kernel_row(self) -> np.ndarray:
+        """The newest training point's kernel row over the tracked points,
+        as an array of the caller's own, which ``_update`` overwrites."""
+        n = self._n_train
+        col = int(self._cols[n - 1])
+        row = self._rows.get(col)
+        if row is None:
+            new = self._points[n - 1 : n]
+            row = kernel_matrix(self.kernel, new, self._tracked_points)[0]
+            if not self.uses_lipschitz:
+                return row
+            self._rows[col] = row
+        return row.copy()
+
     def _set_bounds(self, idx, mean: np.ndarray, std: np.ndarray) -> None:
-        self._bounds.lower[idx] = mean - self.beta * std
-        self._bounds.upper[idx] = mean + self.beta * std
+        """Bounds mean -+ beta * std at the grid points ``idx``, written in
+        place when ``idx`` is the whole grid."""
+        width = self.beta * std
+        if isinstance(idx, slice):
+            np.subtract(mean, width, out=self._bounds.lower)
+            np.add(mean, width, out=self._bounds.upper)
+        else:
+            self._bounds.lower[idx] = mean - width
+            self._bounds.upper[idx] = mean + width
 
     def _track_more(self, added: np.ndarray) -> None:
         """Track the grid points ``added``: one solve gives their posterior,
@@ -679,6 +713,8 @@ class SafeGpOptimizer:
         self._v = self._v_buffer[:n, : k + added.size]
         self._column[added] = np.arange(k, k + added.size)
         self._track = np.concatenate([self._track, added])
+        self._tracked_points = np.asfortranarray(self.grid.points[self._track])
+        self._rows.clear()
         self._mean = np.concatenate([self._mean, mean])
         self._var = np.concatenate([self._var, np.square(std)])
         self._std = np.concatenate([self._std, std])
@@ -711,7 +747,7 @@ class SafeGpOptimizer:
             self._v_buffer[:n, : v.shape[1]] = v
             self._cov_rows.clear()
         self._v = self._v_buffer[:n, : self._mean.size]
-        self._std = np.sqrt(np.clip(self._var, 0.0, None))
+        self._std = np.sqrt(np.maximum(self._var, 0.0))
         self._set_bounds(self._track, self._mean, self._std)
         if self.uses_lipschitz:
             new_mask = update_safe_set_lipschitz(
@@ -750,14 +786,10 @@ class SafeGpOptimizer:
             )
             self._targets = np.concatenate([self._targets, np.empty(pad)])
             self._cols = np.concatenate([self._cols, np.empty(pad, dtype=np.intp)])
-        # The newest training point's kernel row over the tracked points,
-        # computed once: it gives the factor extension its k(x, X) and V
-        # its new row. The first step's model is factorized from scratch.
-        row = None
-        if self.model is not None:
-            n = self._n_train
-            tracked = self.grid.points[self._track]
-            row = kernel_matrix(self.kernel, self._points[n - 1 : n], tracked)[0]
+        # The newest training point's kernel row over the tracked points
+        # gives the factor extension its k(x, X) and V its new row. The
+        # first step's model is factorized from scratch.
+        row = None if self.model is None else self._kernel_row()
         self._refit(row)
         self._update(row)
         if self.variant in _WIDTH_VARIANTS:

@@ -278,6 +278,55 @@ class TestIncrementalFit:
             with pytest.raises(ValueError, match="kx"):
                 gp_fit(kernel, 0.1, X, [1.0, 0.5, 0.2], kx=bad)
 
+    def test_views_of_a_growing_buffer_and_equal_copies_extend_alike(self):
+        # The optimizers fit views of buffers they fill row by row; a caller
+        # may as well pass fresh arrays of the same values, or values equal
+        # but for the sign of a zero. Every chain extends, to the same bits,
+        # and the grown factor stays lower triangular.
+        rng = np.random.default_rng(31)
+        kernel = KernelSpec(lengthscale=1.2, signal_variance=2.0)
+        values = rng.uniform(-4, 4, size=(40, 2))
+        values[::7, 0] = 0.0
+        targets = rng.normal(size=40)
+        points, ys = np.empty((40, 2)), np.empty(40)
+        points[0], ys[0] = values[0], targets[0]
+        chains = {"views": None, "copies": None, "signed zeros": None}
+        for n in range(1, 41):
+            points[n - 1], ys[n - 1] = values[n - 1], targets[n - 1]
+            flipped = points[:n].copy()
+            flipped[flipped == 0.0] *= -1.0
+            fits = {
+                "views": (points[:n], ys[:n]),
+                "copies": (points[:n].copy(), ys[:n].copy()),
+                "signed zeros": (flipped, ys[:n].copy()),
+            }
+            for name, (x, y) in fits.items():
+                chains[name] = gp_fit(kernel, 0.01, x, y, prev=chains[name])
+                assert chains[name].extended == (n > 1)
+            want = chains["views"]
+            assert not np.triu(want.chol, 1).any()
+            for model in chains.values():
+                assert model.chol.tobytes() == want.chol.tobytes()
+                assert model.z.tobytes() == want.z.tobytes()
+
+    @pytest.mark.parametrize("where", ["point", "target"])
+    def test_copy_with_another_earlier_row_is_refactored(self, where):
+        rng = np.random.default_rng(37)
+        kernel = KernelSpec(lengthscale=1.2, signal_variance=2.0)
+        X = rng.uniform(-4, 4, size=(12, 2))
+        y = rng.normal(size=12)
+        prev = gp_fit(kernel, 0.01, X[:11], y[:11])
+        X2, y2 = X.copy(), y.copy()
+        if where == "point":
+            X2[5, 1] = np.nextafter(X2[5, 1], np.inf)
+        else:
+            y2[5] = np.nextafter(y2[5], np.inf)
+        model = gp_fit(kernel, 0.01, X2, y2, prev=prev)
+        assert not model.extended
+        fresh = gp_fit(kernel, 0.01, X2, y2)
+        assert model.chol.tobytes() == fresh.chol.tobytes()
+        assert model.z.tobytes() == fresh.z.tobytes()
+
     def test_prev_with_other_rows_is_refactored(self):
         kernel = KernelSpec()
         prev = gp_fit(kernel, 0.1, [[0.0, 0.0]], [1.0])

@@ -470,6 +470,31 @@ def _non_numeric_field(outdir):
     _edit_row(outdir, lambda fields: fields[:3] + ["y?"] + fields[4:])
 
 
+def _is_unsafe_two(outdir):
+    _edit_row(outdir, lambda fields: fields[:-2] + ["2"] + fields[-1:])
+
+
+def _is_unsafe_minus_one(outdir):
+    _edit_row(outdir, lambda fields: fields[:-2] + ["-1"] + fields[-1:])
+
+
+def _step_repeated(outdir):
+    _edit_row(outdir, lambda fields: ["1"] + fields[1:])
+
+
+def _step_zero_padded(outdir):
+    _edit_row(outdir, lambda fields: ["0" + fields[0]] + fields[1:])
+
+
+def _steps_from_zero(outdir):
+    path = outdir / "va-ea_run1.csv"
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        step, rest = lines[i].split(",", 1)
+        lines[i] = f"{int(step) - 1},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _truncate_manifest(outdir):
     path = outdir / "manifest.json"
     path.write_text(path.read_text()[:200])
@@ -819,7 +844,9 @@ class TestCli:
         assert calls == [] and not outdir.exists()
 
     @pytest.mark.parametrize("corrupt", [
-        _cut_to_header, _short_row, _non_numeric_field, _truncate_manifest,
+        _cut_to_header, _short_row, _non_numeric_field, _is_unsafe_two,
+        _is_unsafe_minus_one, _step_repeated, _step_zero_padded, _steps_from_zero,
+        _truncate_manifest,
         _drop_config, _drop_runs, _drop_n_steps, _drop_termination,
         _non_numeric_run_index, _superscript_run_index, _zero_padded_run_index,
         _bool_n_steps, _run_longer_than_budget, _path_as_algorithm,

@@ -1404,6 +1404,97 @@ class TestLipschitzExpanderCache:
         assert len(computed) == changes
 
 
+class TestKernelRowCache:
+    """The Lipschitz variants reuse a queried node's kernel row until the
+    tracked set grows. At every step of runs 0-2 on the paper's configs,
+    the row handed to ``_update`` and the k(x, X) handed to ``gp_fit``
+    must be the bits of a fresh ``kernel_matrix`` call over the tracked
+    points, on cache hits, on misses and on the step after the safe set
+    grew."""
+
+    @pytest.mark.parametrize("variant", ["safeopt", "safe-ucb"])
+    @pytest.mark.parametrize("config", ["sphere", "styblinski_s1"])
+    def test_rows_are_fresh_kernel_rows(self, config, variant, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        plan = harness.make_plan(
+            harness.normalize_config(harness.load_config(path)), [variant], 3
+        )
+        kx_given = []
+        fit = safegp.gp_fit
+
+        def spy_fit(*args, **kwargs):
+            kx = kwargs.get("kx")
+            kx_given.append(None if kx is None else kx.copy())
+            return fit(*args, **kwargs)
+
+        step, update = SafeGpOptimizer.step, SafeGpOptimizer._update
+        counts = {"hit": 0, "miss": 0, "after growth": 0}
+        state = {}
+
+        def spy_step(self, oracle):
+            n = self._n_train
+            col = int(self._cols[n - 1])
+            state["hit"] = self.model is not None and col in self._rows
+            return step(self, oracle)
+
+        def spy_update(self, row):
+            grew_before = state.pop("grew", False)
+            if row is not None:
+                n = self._n_train
+                fresh = kernel_matrix(
+                    self.kernel, self._points[n - 1 : n], self.grid.points[self._track]
+                )[0]
+                assert row.shape == fresh.shape and row.tobytes() == fresh.tobytes()
+                assert kx_given[-1].tobytes() == fresh[self._cols[: n - 1]].tobytes()
+                counts["hit" if state["hit"] else "miss"] += 1
+                counts["after growth"] += grew_before
+            size = self.safe_idx.size
+            update(self, row)
+            state["grew"] = self.safe_idx.size > size
+
+        monkeypatch.setattr(safegp, "gp_fit", spy_fit)
+        monkeypatch.setattr(SafeGpOptimizer, "step", spy_step)
+        monkeypatch.setattr(SafeGpOptimizer, "_update", spy_update)
+        for i in range(3):
+            assert harness.run(plan, variant, i).termination == "budget_exhausted"
+        assert counts["hit"] > 0 and counts["miss"] > 0
+        if config == "sphere":
+            assert counts["after growth"] > 0
+
+    @pytest.mark.parametrize("variant", ["msafe-ucb", "safeopt"])
+    def test_rows_are_the_only_kernel_work_of_a_step(self, variant, monkeypatch):
+        # Neither variant calls kernel_matrix from safegp but for the row.
+        # A Lipschitz step computes one only for a node it has not queried
+        # since the tracked set last grew; the Lipschitz-free variants keep
+        # no rows.
+        problem = small_sphere_problem(budget=40, percentile=50.0)
+        oracle, seed_obs = primed(problem)
+        opt = SafeGpOptimizer(variant, problem, seed_obs)
+        calls = []
+        row = safegp.kernel_matrix
+
+        def counting(spec, a, b):
+            calls.append(len(b))
+            return row(spec, a, b)
+
+        monkeypatch.setattr(safegp, "kernel_matrix", counting)
+        seen, sizes = set(), []
+        while oracle.running:
+            n, tracked = opt._n_train, opt._tracked_points.shape[0]
+            key = (tracked, tuple(opt._points[n - 1]))
+            before = len(calls)
+            opt.step(oracle)
+            if len(opt.diagnostics) > 1:
+                new = len(calls) - before
+                assert new == (0 if opt.uses_lipschitz and key in seen else 1)
+                seen.add(key)
+            sizes.append(opt.safe_idx.size)
+        if opt.uses_lipschitz:
+            assert len(set(sizes)) > 1 and len(seen) < len(sizes)
+        else:
+            assert opt._rows == {}
+
+
 class TestVBufferSize:
     # V's buffer holds a row for each training point the run can reach,
     # which the oracle decides, not the problem's evaluation budget.
