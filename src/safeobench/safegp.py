@@ -694,15 +694,10 @@ class SafeGpOptimizer:
         return row.copy()
 
     def _set_bounds(self, idx, mean: np.ndarray, std: np.ndarray) -> None:
-        """Bounds mean -+ beta * std at the grid points ``idx``, written in
-        place when ``idx`` is the whole grid."""
+        """Bounds mean -+ beta * std at the grid points ``idx``."""
         width = self.beta * std
-        if isinstance(idx, slice):
-            np.subtract(mean, width, out=self._bounds.lower)
-            np.add(mean, width, out=self._bounds.upper)
-        else:
-            self._bounds.lower[idx] = mean - width
-            self._bounds.upper[idx] = mean + width
+        self._bounds.lower[idx] = mean - width
+        self._bounds.upper[idx] = mean + width
 
     def _track_more(self, added: np.ndarray) -> None:
         """Track the grid points ``added``: one solve gives their posterior,
